@@ -47,7 +47,8 @@ pub enum JobKind {
 }
 
 impl JobKind {
-    /// Every kind, in a fixed order (used to deal mixed workloads).
+    /// Every kind, in declaration (discriminant) order — the order mixed
+    /// workloads are dealt in and per-kind counters are indexed by.
     pub const ALL: [JobKind; 4] = [
         JobKind::TrtEvent,
         JobKind::VolumeFrame,
@@ -62,10 +63,7 @@ impl JobKind {
     /// The position of this kind in [`ALL`](Self::ALL) — a stable index
     /// for per-kind counters and maps.
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&k| k == self)
-            .expect("every kind is in ALL")
+        self as usize
     }
 
     /// The name of the FPGA design this workload needs loaded. This is
@@ -431,6 +429,13 @@ mod tests {
             let fitted = fit(&d, &Device::orca_3t125())
                 .unwrap_or_else(|e| panic!("{:?} design must fit: {e}", kind));
             assert!(fitted.report().gates > 0);
+        }
+    }
+
+    #[test]
+    fn kind_index_is_the_position_in_all() {
+        for kind in JobKind::ALL {
+            assert_eq!(JobKind::ALL[kind.index()], kind);
         }
     }
 

@@ -59,7 +59,6 @@
 use crate::netlist::{node_width, BinOp, Node, UnOp, WritePortDecl};
 use crate::signal::mask;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Operand slot meaning "absent" (e.g. a register without an enable).
@@ -237,11 +236,9 @@ pub enum DispatchMode {
 
 /// Knobs controlling how a design is lowered onto the compiled engine.
 ///
-/// The default (`fuse` on, [`ParallelEval::Auto`], [`DispatchMode::Auto`])
-/// is what `Sim::new` uses; `Sim::with_config` / `Fpga`-level integrators
-/// can override, and [`EngineConfig::set_global`] changes the process-wide
-/// default consulted by `Sim::new` (the `examples/serving.rs
-/// --partitioned` / `--dispatch` knobs).
+/// The default (`fuse` on, [`ParallelEval::Auto`], [`DispatchMode::Auto`],
+/// `netopt` on) is what `Sim::new` uses; `Sim::with_config` takes any
+/// other configuration as a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Run the peephole + superop fusion pass over the lowered stream.
@@ -278,19 +275,6 @@ impl Default for EngineConfig {
     }
 }
 
-const PAR_OFF: u8 = 0;
-const PAR_AUTO: u8 = 1;
-const PAR_FORCE: u8 = 2;
-const DISP_MATCH: u8 = 0;
-const DISP_THREADED: u8 = 1;
-const DISP_AUTO: u8 = 2;
-static GLOBAL_FUSE: AtomicBool = AtomicBool::new(true);
-static GLOBAL_PAR: AtomicU8 = AtomicU8::new(PAR_AUTO);
-static GLOBAL_PARTS: AtomicUsize = AtomicUsize::new(2);
-static GLOBAL_DISPATCH: AtomicU8 = AtomicU8::new(DISP_AUTO);
-static GLOBAL_STREAMING: AtomicBool = AtomicBool::new(false);
-static GLOBAL_NETOPT: AtomicBool = AtomicBool::new(true);
-
 impl EngineConfig {
     /// Fusion on, parallel evaluation off, match dispatch — the serial
     /// fused engine (the PR 6 shape, used as a bench baseline; dispatch
@@ -314,48 +298,6 @@ impl EngineConfig {
             dispatch: DispatchMode::Match,
             streaming: false,
             netopt: false,
-        }
-    }
-
-    /// Set the process-wide default consulted by `Sim::new` for sims
-    /// created afterwards. Existing sims are unaffected.
-    pub fn set_global(cfg: EngineConfig) {
-        GLOBAL_FUSE.store(cfg.fuse, Ordering::Relaxed);
-        let (mode, parts) = match cfg.parallel {
-            ParallelEval::Off => (PAR_OFF, 0),
-            ParallelEval::Auto => (PAR_AUTO, 0),
-            ParallelEval::Force(p) => (PAR_FORCE, p),
-        };
-        GLOBAL_PARTS.store(parts, Ordering::Relaxed);
-        GLOBAL_PAR.store(mode, Ordering::Relaxed);
-        let disp = match cfg.dispatch {
-            DispatchMode::Match => DISP_MATCH,
-            DispatchMode::Threaded => DISP_THREADED,
-            DispatchMode::Auto => DISP_AUTO,
-        };
-        GLOBAL_DISPATCH.store(disp, Ordering::Relaxed);
-        GLOBAL_STREAMING.store(cfg.streaming, Ordering::Relaxed);
-        GLOBAL_NETOPT.store(cfg.netopt, Ordering::Relaxed);
-    }
-
-    /// The current process-wide default (see [`EngineConfig::set_global`]).
-    pub fn global() -> EngineConfig {
-        let parallel = match GLOBAL_PAR.load(Ordering::Relaxed) {
-            PAR_OFF => ParallelEval::Off,
-            PAR_FORCE => ParallelEval::Force(GLOBAL_PARTS.load(Ordering::Relaxed).max(1)),
-            _ => ParallelEval::Auto,
-        };
-        let dispatch = match GLOBAL_DISPATCH.load(Ordering::Relaxed) {
-            DISP_MATCH => DispatchMode::Match,
-            DISP_THREADED => DispatchMode::Threaded,
-            _ => DispatchMode::Auto,
-        };
-        EngineConfig {
-            fuse: GLOBAL_FUSE.load(Ordering::Relaxed),
-            parallel,
-            dispatch,
-            streaming: GLOBAL_STREAMING.load(Ordering::Relaxed),
-            netopt: GLOBAL_NETOPT.load(Ordering::Relaxed),
         }
     }
 }
@@ -422,8 +364,9 @@ pub struct EngineStats {
 //
 // These two helpers are the single source of truth for opcode semantics:
 // the compiled engine, the tree-walking interpreter in `sim.rs`, the
-// on-demand observability path for fused-away nodes, and the constant
-// folder in `opt.rs` all lower and execute through them.
+// on-demand observability path for fused-away nodes, and the netlist
+// optimizer's constant folder (`nir::ConstFold`) all lower and execute
+// through them.
 
 /// One lowered micro-op, before it is appended to the stream.
 pub(crate) struct LoweredOp {

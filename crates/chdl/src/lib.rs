@@ -58,7 +58,6 @@ pub mod lanes;
 pub mod memory;
 pub mod netlist;
 pub mod nir;
-pub mod opt;
 pub mod seq;
 pub mod signal;
 pub mod sim;

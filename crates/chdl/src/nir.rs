@@ -38,6 +38,14 @@
 //!   use via [`Nir::to_design`]: state unreachable from any output, label,
 //!   write port or `dont_touch` node is dropped too.
 //!
+//! A standalone view ([`Nir::from_design`]) owns its interface, so
+//! [`ConstFold`] and [`ShareSubexprs`] also move outputs and labels onto
+//! the node their source aliases to (through identity rewrites and onto a
+//! structural twin), leaving no identity gate in front of an output. The
+//! view `Sim` lowers from keeps every output and label on its source slot,
+//! because its signal handles index the original design.
+//! [`Design::optimized`] is the one-call standalone pipeline.
+//!
 //! Nodes marked [`Design::set_dont_touch`] survive every pass verbatim:
 //! never folded, never redirected onto a twin, never declared dead.
 //!
@@ -98,6 +106,9 @@ pub struct Nir {
     d: Design,
     dont_touch: Vec<bool>,
     dead: Vec<bool>,
+    /// Whether passes may rebind outputs and labels through aliases
+    /// (standalone views only; see the module docs).
+    rebind_interface: bool,
 }
 
 /// Decomposed result of the pre-lowering pipeline, consumed by `Sim`.
@@ -114,7 +125,10 @@ pub(crate) struct LoweredNetopt {
 /// returning the rewritten graph in the **original index space** (dead
 /// nodes flagged, not compacted) so every signal handle stays valid.
 pub(crate) fn optimize_for_lowering(design: &Design) -> LoweredNetopt {
-    let mut nir = Nir::from_design(design);
+    let mut nir = Nir {
+        rebind_interface: false,
+        ..Nir::from_design(design)
+    };
     let ledger = PassManager::lowering().run(&mut nir);
     LoweredNetopt {
         nodes: nir.d.nodes,
@@ -124,9 +138,25 @@ pub(crate) fn optimize_for_lowering(design: &Design) -> LoweredNetopt {
     }
 }
 
+impl Design {
+    /// An optimized copy of this design: [`PassManager::standard`] run to
+    /// its fixed point, then compacted by [`Nir::to_design`]. Inputs,
+    /// outputs, labels, write ports and `dont_touch` nodes survive; outputs
+    /// and labels are bound to the node their source aliases to, so an
+    /// identity chain in front of an output compacts to plain wiring. The
+    /// copy keeps this design's name, so optimizing it again reproduces it
+    /// byte for byte ([`Design::structural_bytes`]).
+    pub fn optimized(&self) -> (Design, NetoptLedger) {
+        let mut nir = Nir::from_design(self);
+        let ledger = PassManager::standard().run(&mut nir);
+        (nir.to_design(), ledger)
+    }
+}
+
 impl Nir {
     /// Build the mutable IR from a design (the design is cloned; the
-    /// original is never modified).
+    /// original is never modified). The view owns its interface: passes
+    /// rebind outputs and labels onto the node their source aliases to.
     pub fn from_design(design: &Design) -> Self {
         let n = design.nodes.len();
         let mut dont_touch = vec![false; n];
@@ -137,6 +167,7 @@ impl Nir {
             d: design.clone(),
             dont_touch,
             dead: vec![false; n],
+            rebind_interface: true,
         }
     }
 
@@ -553,7 +584,8 @@ fn rewrite_comb_refs(node: &mut Node, alias: &[u32]) -> usize {
 
 /// Materialize the alias table into register and write-port references
 /// (these may point forward, so they are rewritten only after a full
-/// sweep has populated the table). Returns edges changed.
+/// sweep has populated the table) and, in a standalone view, into outputs
+/// and labels. Returns references changed.
 fn rewrite_state_refs(nir: &mut Nir, alias: &[u32]) -> usize {
     let mut changed = 0;
     for i in 0..nir.d.nodes.len() {
@@ -575,6 +607,17 @@ fn rewrite_state_refs(nir: &mut Nir, alias: &[u32]) -> usize {
             if *r == UNDRIVEN {
                 continue;
             }
+            let t = resolve(alias, *r);
+            if t != *r {
+                *r = t;
+                changed += 1;
+            }
+        }
+    }
+    if nir.rebind_interface {
+        let outputs = nir.d.outputs.iter_mut().map(|o| &mut o.src);
+        let labels = nir.d.names.values_mut().map(|sig| &mut sig.node);
+        for r in outputs.chain(labels) {
             let t = resolve(alias, *r);
             if t != *r {
                 *r = t;

@@ -90,9 +90,9 @@ impl Sim {
     }
 
     /// Elaborate and instantiate with an explicit execution engine, using
-    /// the process-wide default [`EngineConfig`].
+    /// the default [`EngineConfig`].
     pub fn try_with_mode(design: &Design, mode: ExecMode) -> Result<Self, ChdlError> {
-        Self::try_with_config(design, mode, EngineConfig::global())
+        Self::try_with_config(design, mode, EngineConfig::default())
     }
 
     /// Elaborate and instantiate with explicit engine tuning. Panics on

@@ -214,11 +214,7 @@ impl Router {
     /// The home shard (index into `views`) for `kind` under the
     /// balanced map.
     pub fn preferred(kind: JobKind, views: &[ShardView]) -> usize {
-        let ki = JobKind::ALL
-            .iter()
-            .position(|&k| k == kind)
-            .expect("kind is one of ALL");
-        Self::home_map(views)[ki]
+        Self::home_map(views)[kind.index()]
     }
 
     /// The index (into `views`) of the lowest [`ShardView::load`], ties

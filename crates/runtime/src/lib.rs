@@ -42,6 +42,7 @@ mod cache;
 mod error;
 mod guard;
 mod job;
+mod policy;
 mod queue;
 mod shard;
 mod stats;
@@ -52,12 +53,12 @@ pub use cache::BitstreamCache;
 pub use error::RuntimeError;
 pub use guard::GuardConfig;
 pub use job::{JobHandle, JobRequest, JobResult, JobTimings, Priority};
+pub use policy::SchedPolicy;
 pub use shard::{
     FabricKind, ShardCompletion, ShardConfig, ShardJob, ShardReject, ShardScheduler, ShardStats,
     StolenJob,
 };
 pub use stats::{LatencyHistogram, LogHistogram, RuntimeStats};
-pub use worker::SchedPolicy;
 
 use atlantis_core::coprocessor::TaskError;
 use atlantis_core::AtlantisSystem;
@@ -65,7 +66,8 @@ use atlantis_fabric::Device;
 use atlantis_pci::OverlapConfig;
 use atlantis_simcore::SimDuration;
 use job::QueuedJob;
-use queue::{JobQueue, PickConfig};
+use policy::PickConfig;
+use queue::JobQueue;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -181,18 +183,11 @@ impl Runtime {
         let cache = Arc::new(BitstreamCache::new(Device::orca_3t125()));
         cache.prefit_all().map_err(TaskError::Fit)?;
 
-        let queue = Arc::new(JobQueue::new(config.queue_capacity));
+        let pick = PickConfig::new(config.policy, config.scan_depth, config.aging_limit);
+        let queue = Arc::new(JobQueue::new(config.queue_capacity, pick));
         queue.set_workers(devices);
         let pool = BufferPool::new();
         let shared = Arc::new(Mutex::new(SharedStats::new(devices)));
-        let pick = PickConfig {
-            scan_depth: config.scan_depth,
-            batch_window: match config.policy {
-                SchedPolicy::Fifo => 0,
-                SchedPolicy::ReconfigAware { batch_window } => batch_window,
-            },
-            aging_limit: config.aging_limit,
-        };
 
         let mut workers = Vec::with_capacity(devices);
         for (i, mut driver) in acbs.into_iter().enumerate() {
@@ -202,8 +197,6 @@ impl Runtime {
                 driver,
                 Arc::clone(&queue),
                 Arc::clone(&cache),
-                config.policy,
-                pick,
                 Arc::clone(&shared),
                 Arc::clone(&pool),
                 config.pipeline,

@@ -9,6 +9,8 @@
 
 use crate::error::RuntimeError;
 use crate::job::{Priority, QueuedJob};
+use crate::policy::{self, PickConfig, Queued};
+use atlantis_apps::jobs::JobKind;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -30,6 +32,15 @@ struct Entry {
     skips: u32,
 }
 
+impl Queued for Entry {
+    fn kind(&self) -> JobKind {
+        self.job.request.spec.kind
+    }
+    fn skips(&mut self) -> &mut u32 {
+        &mut self.skips
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     classes: [VecDeque<Entry>; Priority::CLASSES],
@@ -37,25 +48,13 @@ struct Inner {
     closed: bool,
 }
 
-/// How a worker picks its next job from the queue.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PickConfig {
-    /// Prefer a job for the already-loaded design within this many
-    /// entries of the head of the urgent-most non-empty class.
-    pub scan_depth: usize,
-    /// Stop preferring the loaded design after this many consecutive
-    /// same-design jobs (forces eventual rotation).
-    pub batch_window: usize,
-    /// A job skipped this many times must be taken next regardless of
-    /// the loaded design (starvation bound).
-    pub aging_limit: u32,
-}
-
 #[derive(Debug)]
 pub(crate) struct JobQueue {
     inner: Mutex<Inner>,
     not_empty: Condvar,
     capacity: usize,
+    /// The reconfiguration-aware pick every pop applies.
+    pick: PickConfig,
     /// EWMA of per-job wall service time in nanoseconds, updated by
     /// workers on every completion; zero until the first completion.
     /// Feeds the `retry_after` hint in `Overloaded` rejections.
@@ -65,11 +64,12 @@ pub(crate) struct JobQueue {
 }
 
 impl JobQueue {
-    pub fn new(capacity: usize) -> Self {
+    pub fn new(capacity: usize, pick: PickConfig) -> Self {
         JobQueue {
             inner: Mutex::new(Inner::default()),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
+            pick,
             service_ewma_ns: AtomicU64::new(0),
             workers: AtomicUsize::new(1),
         }
@@ -158,16 +158,14 @@ impl JobQueue {
     }
 
     /// Block until a job is available (or the queue is closed *and*
-    /// empty). `prefer`, when set and `batch_len` is still inside the
-    /// batch window, picks a nearby job for the already-loaded design —
-    /// the reconfiguration-aware policy. FIFO callers pass `None`.
-    pub fn pop(&self, pick: PickConfig, prefer: Option<&str>, batch_len: usize) -> Pop {
+    /// empty), picked for a worker holding `loaded` that has served
+    /// `batch_len` consecutive jobs of it — the reconfiguration-aware
+    /// policy ([`policy::pick`]).
+    pub fn pop(&self, loaded: Option<JobKind>, batch_len: usize) -> Pop {
         let mut inner = self.inner.lock().unwrap();
         loop {
-            if inner.len > 0 {
-                let entry = Self::take(&mut inner, pick, prefer, batch_len);
-                inner.len -= 1;
-                return Pop::Job(entry.job);
+            if let Some(job) = self.take(&mut inner, loaded, batch_len) {
+                return Pop::Job(job);
             }
             if inner.closed {
                 return Pop::Drained;
@@ -181,44 +179,19 @@ impl JobQueue {
     /// in-flight jobs must never block here — blocking with admitted
     /// work in the pipeline would deadlock a client that submitted a
     /// single job and is waiting on its completion.
-    pub fn try_pop(
-        &self,
-        pick: PickConfig,
-        prefer: Option<&str>,
-        batch_len: usize,
-    ) -> Option<QueuedJob> {
+    pub fn try_pop(&self, loaded: Option<JobKind>, batch_len: usize) -> Option<QueuedJob> {
         let mut inner = self.inner.lock().unwrap();
-        if inner.len == 0 {
-            return None;
-        }
-        let entry = Self::take(&mut inner, pick, prefer, batch_len);
-        inner.len -= 1;
-        Some(entry.job)
+        self.take(&mut inner, loaded, batch_len)
     }
 
-    /// Pick from the urgent-most non-empty class (caller guarantees the
-    /// queue is non-empty).
-    fn take(inner: &mut Inner, pick: PickConfig, prefer: Option<&str>, batch_len: usize) -> Entry {
-        let class = inner
-            .classes
-            .iter_mut()
-            .find(|c| !c.is_empty())
-            .expect("pop on a non-empty queue");
-        if let Some(design) = prefer {
-            let head_aged = class.front().is_some_and(|e| e.skips >= pick.aging_limit);
-            if batch_len < pick.batch_window && !head_aged {
-                let j = class
-                    .iter()
-                    .take(pick.scan_depth)
-                    .position(|e| e.job.request.spec.kind.design_name() == design);
-                if let Some(j) = j {
-                    for e in class.iter_mut().take(j) {
-                        e.skips += 1;
-                    }
-                    return class.remove(j).expect("index in range");
-                }
-            }
-        }
-        class.pop_front().expect("class is non-empty")
+    fn take(
+        &self,
+        inner: &mut Inner,
+        loaded: Option<JobKind>,
+        batch_len: usize,
+    ) -> Option<QueuedJob> {
+        let entry = policy::pick(&mut inner.classes, self.pick, loaded, batch_len)?;
+        inner.len -= 1;
+        Some(entry.job)
     }
 }

@@ -10,8 +10,9 @@
 //! [`Aab`](atlantis_backplane::Aab) connections, per the paper's §2.3
 //! topology) plus the *same* scheduling semantics the threaded workers
 //! use — a bounded admission queue with three priority classes and the
-//! reconfiguration-aware pick (bounded look-ahead, bounded batch
-//! window, bounded skip aging), per-board
+//! one reconfiguration-aware pick (bounded look-ahead, bounded batch
+//! window, bounded skip aging) and task switch both engines share
+//! (`policy.rs`), per-board
 //! [`Coprocessor`](atlantis_core::Coprocessor) hardware task switching
 //! against the shared [`BitstreamCache`], and
 //! [`WorkloadContext`](atlantis_apps::jobs::WorkloadContext) execution
@@ -28,11 +29,10 @@
 use crate::cache::BitstreamCache;
 use crate::error::RuntimeError;
 use crate::job::Priority;
+use crate::policy::{self, Fabric, PickConfig, Queued, SchedPolicy};
 use crate::stats::LogHistogram;
-use crate::worker::SchedPolicy;
 use atlantis_apps::jobs::{JobKind, JobSpec, WorkloadContext};
 use atlantis_backplane::{Aab, BackplaneKind, ConnectionId};
-use atlantis_core::coprocessor::TaskStats;
 use atlantis_core::Coprocessor;
 use atlantis_fabric::Device;
 use atlantis_simcore::{SimDuration, SimTime};
@@ -248,13 +248,9 @@ impl ShardStats {
 /// backplane connection to the AIB that feeds it.
 #[derive(Debug)]
 struct Board {
-    coproc: Coprocessor,
+    /// The coprocessor, its loaded design and the batch counter.
+    fabric: Fabric,
     conn: ConnectionId,
-    /// The design currently on the fabric (mirrors
-    /// `coproc.current_task()` without the borrow).
-    loaded: Option<JobKind>,
-    /// Consecutive same-design jobs — the batching window's counter.
-    batch_len: usize,
     free_at: SimTime,
     in_flight: Option<ShardCompletion>,
     quarantined: bool,
@@ -270,6 +266,15 @@ struct QueueEntry {
     /// cross-shard hop transfer lands, and a board that picks one up
     /// earlier waits for the data (charged as DMA time).
     ready_at: SimTime,
+}
+
+impl Queued for QueueEntry {
+    fn kind(&self) -> JobKind {
+        self.job.spec.kind
+    }
+    fn skips(&mut self) -> &mut u32 {
+        &mut self.skips
+    }
 }
 
 /// A job lifted out of a donor shard's queue by the cluster's work
@@ -324,10 +329,8 @@ impl ShardScheduler {
                 .connect(2 * i, 2 * i + 1, aab.config().channels())
                 .expect("fresh backplane has free channels");
             boards.push(Board {
-                coproc: Coprocessor::new(device.clone()),
+                fabric: Fabric::new(Coprocessor::new(device.clone())),
                 conn,
-                loaded: None,
-                batch_len: 0,
                 free_at: SimTime::ZERO,
                 in_flight: None,
                 quarantined: false,
@@ -481,7 +484,7 @@ impl ShardScheduler {
         self.boards
             .iter()
             .filter(|b| !b.quarantined && b.in_flight.is_none() && b.free_at <= t)
-            .filter_map(|b| b.loaded)
+            .filter_map(|b| b.fabric.loaded)
             .collect()
     }
 
@@ -593,7 +596,7 @@ impl ShardScheduler {
         }
         let _ = self.switch_board(board, kind);
         // The serving batch window starts fresh.
-        self.boards[board].batch_len = 0;
+        self.boards[board].fabric.batch_len = 0;
         true
     }
 
@@ -666,10 +669,7 @@ impl ShardScheduler {
     fn note_completion(&mut self, fin: &ShardCompletion) {
         let s = &mut self.stats;
         s.completed += 1;
-        s.per_kind[JobKind::ALL
-            .iter()
-            .position(|&k| k == fin.spec.kind)
-            .expect("kind is one of ALL")] += 1;
+        s.per_kind[fin.spec.kind.index()] += 1;
         if !fin.switched {
             s.affinity_hits += 1;
         }
@@ -688,68 +688,33 @@ impl ShardScheduler {
     /// boards, prefer one whose fabric already holds the head job's
     /// design (so two designs resident on two boards serve side by
     /// side instead of ping-ponging); otherwise lowest index. Jobs are
-    /// then chosen by the priority-classed affinity pick.
+    /// then chosen by the shared reconfiguration-aware pick
+    /// ([`policy::pick`]).
     fn schedule(&mut self, t: SimTime) {
+        let pick = PickConfig::new(self.cfg.policy, self.cfg.scan_depth, self.cfg.aging_limit);
         loop {
-            if self.queued == 0 {
-                break;
-            }
             let idle = |b: &Board| !b.quarantined && b.in_flight.is_none() && b.free_at <= t;
             let Some(first) = self.boards.iter().position(idle) else {
                 break;
             };
-            let head_kind = self
-                .classes
-                .iter()
-                .find_map(|c| c.front())
-                .expect("queued > 0")
-                .job
-                .spec
-                .kind;
+            let Some(head) = self.classes.iter().find_map(|c| c.front()) else {
+                break;
+            };
+            let head_kind = head.job.spec.kind;
             let bi = self
                 .boards
                 .iter()
-                .position(|b| idle(b) && b.loaded == Some(head_kind))
+                .position(|b| idle(b) && b.fabric.loaded == Some(head_kind))
                 .unwrap_or(first);
-            let entry = self.pick(bi);
+            let fabric = &self.boards[bi].fabric;
+            let Some(entry) =
+                policy::pick(&mut self.classes, pick, fabric.loaded, fabric.batch_len)
+            else {
+                break;
+            };
+            self.queued -= 1;
             self.start(bi, t, entry);
         }
-    }
-
-    /// The threaded queue's pick, per board: urgent-most non-empty
-    /// class; within it, prefer the board's loaded design inside the
-    /// scan window unless the batch window closed or the head aged out.
-    fn pick(&mut self, bi: usize) -> QueueEntry {
-        let board = &self.boards[bi];
-        let batch_window = match self.cfg.policy {
-            SchedPolicy::Fifo => 0,
-            SchedPolicy::ReconfigAware { batch_window } => batch_window,
-        };
-        let prefer = board.loaded.filter(|_| board.batch_len < batch_window);
-        let class = self
-            .classes
-            .iter_mut()
-            .find(|c| !c.is_empty())
-            .expect("pick on a non-empty queue");
-        self.queued -= 1;
-        if let Some(kind) = prefer {
-            let head_aged = class
-                .front()
-                .is_some_and(|e| e.skips >= self.cfg.aging_limit);
-            if !head_aged {
-                let j = class
-                    .iter()
-                    .take(self.cfg.scan_depth)
-                    .position(|e| e.job.spec.kind == kind);
-                if let Some(j) = j {
-                    for e in class.iter_mut().take(j) {
-                        e.skips += 1;
-                    }
-                    return class.remove(j).expect("index in range");
-                }
-            }
-        }
-        class.pop_front().expect("class is non-empty")
     }
 
     /// Serve `entry` on board `bi` starting at `t`: payload DMA over
@@ -807,36 +772,17 @@ impl ShardScheduler {
         });
     }
 
-    /// Switch board `bi` to `kind`'s design (registering the shared
-    /// cached fit on first use) and fold the task-stats delta into the
-    /// shard counters. Mirrors the threaded worker's `switch_design`.
+    /// Switch board `bi` to `kind`'s design ([`Fabric::switch`]) and
+    /// fold the load/switch counts into the shard counters (reconfiguration
+    /// time is charged by `start`, so boot preloads stay off the clock).
     fn switch_board(&mut self, bi: usize, kind: JobKind) -> (SimDuration, bool) {
-        let name = kind.design_name();
-        if !self.boards[bi].coproc.has_task(name) {
-            let fitted = self
-                .cache
-                .get(kind)
-                .expect("workload designs are prefit for the shard's device family");
-            self.boards[bi]
-                .coproc
-                .register_fitted(name, (*fitted).clone())
-                .expect("cache fits match the board device");
-        }
-        let board = &mut self.boards[bi];
-        let before: TaskStats = board.coproc.stats();
-        let reconfig = board
-            .coproc
-            .switch_to(name)
-            .map_err(RuntimeError::from)
-            .expect("registered task switches cleanly");
-        let after = board.coproc.stats();
-        let switched = reconfig > SimDuration::ZERO;
-        board.loaded = Some(kind);
-        board.batch_len = if switched { 1 } else { board.batch_len + 1 };
-        let s = &mut self.stats;
-        s.full_loads += after.full_loads - before.full_loads;
-        s.partial_switches += after.partial_switches - before.partial_switches;
-        (reconfig, switched)
+        let sw = self.boards[bi]
+            .fabric
+            .switch(&self.cache, kind)
+            .expect("workload designs are prefit for the shard's device family");
+        self.stats.full_loads += sw.delta.full_loads;
+        self.stats.partial_switches += sw.delta.partial_switches;
+        (sw.reconfig, sw.switched)
     }
 }
 

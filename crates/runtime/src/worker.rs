@@ -33,35 +33,17 @@ use crate::cache::BitstreamCache;
 use crate::error::RuntimeError;
 use crate::guard::{GuardConfig, GuardState};
 use crate::job::{JobResult, JobTimings, QueuedJob};
-use crate::queue::{JobQueue, PickConfig, Pop};
+use crate::policy::Fabric;
+use crate::queue::{JobQueue, Pop};
 use crate::stats::{LatencyHistogram, LogHistogram};
 use atlantis_apps::jobs::{JobKind, JobOutcome, JobSpec, WorkloadContext};
 use atlantis_board::{Acb, SlotHalf};
-use atlantis_core::coprocessor::TaskStats;
 use atlantis_core::Coprocessor;
 use atlantis_fabric::Device;
 use atlantis_pci::{DmaChannel, Driver};
 use atlantis_simcore::SimDuration;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// The scheduling policy workers follow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// Strict arrival order within each priority class. Every change of
-    /// workload kind pays a reconfiguration.
-    Fifo,
-    /// Prefer jobs for the design already loaded on the device, looking
-    /// a bounded distance into the queue, for at most `batch_window`
-    /// consecutive jobs (and never past a job that has already been
-    /// skipped `aging_limit` times). Amortises configuration cost across
-    /// batches — the paper's hardware-task-switch economics.
-    ReconfigAware {
-        /// Max consecutive same-design jobs before the device must take
-        /// the queue head regardless of design.
-        batch_window: usize,
-    },
-}
 
 /// Aggregated counters all workers write and `Runtime::stats` reads.
 #[derive(Debug, Default)]
@@ -156,18 +138,15 @@ struct Staged {
 pub(crate) struct Worker {
     pub device_index: usize,
     pub driver: Driver<Acb>,
-    pub coproc: Coprocessor,
+    pub fabric: Fabric,
     pub ctx: WorkloadContext,
     pub queue: Arc<JobQueue>,
     pub cache: Arc<BitstreamCache>,
-    pub policy: SchedPolicy,
-    pub pick: PickConfig,
     pub shared: Arc<Mutex<SharedStats>>,
     pool: Arc<BufferPool>,
     pipeline: bool,
     /// Max same-design jobs one execute pass gathers (1 = no gathering).
     lanes: usize,
-    batch_len: usize,
     /// Serial mode: next whole job slot.
     slot: usize,
     /// Pipelined mode: next slot *half* in the ping/pong rotation.
@@ -193,8 +172,6 @@ impl Worker {
         driver: Driver<Acb>,
         queue: Arc<JobQueue>,
         cache: Arc<BitstreamCache>,
-        policy: SchedPolicy,
-        pick: PickConfig,
         shared: Arc<Mutex<SharedStats>>,
         pool: Arc<BufferPool>,
         pipeline: bool,
@@ -204,17 +181,14 @@ impl Worker {
         Worker {
             device_index,
             driver,
-            coproc: Coprocessor::new(Device::orca_3t125()),
+            fabric: Fabric::new(Coprocessor::new(Device::orca_3t125())),
             ctx: WorkloadContext::new(),
             queue,
             cache,
-            policy,
-            pick,
             shared,
             pool,
             pipeline,
             lanes: lanes.max(1),
-            batch_len: 0,
             slot: 0,
             seq: 0,
             staged: None,
@@ -252,20 +226,14 @@ impl Worker {
                 self.dispatch(job);
                 continue;
             }
-            let prefer = match self.policy {
-                SchedPolicy::Fifo => None,
-                SchedPolicy::ReconfigAware { .. } => self.coproc.current_task().map(str::to_owned),
-            };
+            let (loaded, batch_len) = (self.fabric.loaded, self.fabric.batch_len);
             if self.pipeline_empty() {
-                match self.queue.pop(self.pick, prefer.as_deref(), self.batch_len) {
+                match self.queue.pop(loaded, batch_len) {
                     Pop::Job(job) => self.dispatch(job),
                     Pop::Drained => break,
                 }
             } else {
-                match self
-                    .queue
-                    .try_pop(self.pick, prefer.as_deref(), self.batch_len)
-                {
+                match self.queue.try_pop(loaded, batch_len) {
                     Some(job) => self.dispatch(job),
                     None => self.advance(None),
                 }
@@ -318,18 +286,15 @@ impl Worker {
         if self.lanes <= 1 {
             return batch;
         }
-        let design = batch[0].request.spec.kind.design_name();
-        let base = if self.coproc.current_task() == Some(design) {
-            self.batch_len
+        let kind = batch[0].request.spec.kind;
+        let base = if self.fabric.loaded == Some(kind) {
+            self.fabric.batch_len
         } else {
             0
         };
         while batch.len() < self.lanes {
-            match self
-                .queue
-                .try_pop(self.pick, Some(design), base + batch.len())
-            {
-                Some(job) if job.request.spec.kind.design_name() == design => batch.push(job),
+            match self.queue.try_pop(Some(kind), base + batch.len()) {
+                Some(job) if job.request.spec.kind == kind => batch.push(job),
                 Some(job) => {
                     self.carry = Some(job);
                     break;
@@ -352,7 +317,7 @@ impl Worker {
         // not inflate the reported wait.
         let queue_wait = job.submitted.elapsed();
         let spec = job.request.spec;
-        if self.coproc.current_task() != Some(spec.kind.design_name()) && !self.pipeline_empty() {
+        if self.fabric.loaded != Some(spec.kind) && !self.pipeline_empty() {
             self.drain_pipeline();
         }
 
@@ -410,8 +375,8 @@ impl Worker {
         let mut corrupted_now = false;
         if let Some(mut st) = self.staged.take() {
             t_exec = st.outcome.compute;
-            if self.guard.is_active() && !self.coproc.fpga().pending_upsets().is_empty() {
-                st.outcome.checksum ^= self.coproc.fpga().upset_digest();
+            if self.guard.is_active() && !self.fabric.coproc.fpga().pending_upsets().is_empty() {
+                st.outcome.checksum ^= self.fabric.coproc.fpga().upset_digest();
                 st.corrupt = true;
                 corrupted_now = true;
             }
@@ -535,7 +500,7 @@ impl Worker {
         {
             let mut s = self.shared.lock().unwrap();
             s.completed += 1;
-            s.per_kind[Self::kind_index(spec.kind)] += 1;
+            s.per_kind[spec.kind.index()] += 1;
             s.latency.record(timings.wall);
             s.virt_latency.record_virtual(timings.total_virtual());
             // Ground truth the policy failed to catch: a corrupt result
@@ -589,8 +554,8 @@ impl Worker {
         // Execute, then read the result back into a pooled buffer.
         let mut outcome = self.ctx.execute(&spec);
         let mut corrupt = false;
-        if self.guard.is_active() && !self.coproc.fpga().pending_upsets().is_empty() {
-            outcome.checksum ^= self.coproc.fpga().upset_digest();
+        if self.guard.is_active() && !self.fabric.coproc.fpga().pending_upsets().is_empty() {
+            outcome.checksum ^= self.fabric.coproc.fpga().upset_digest();
             corrupt = true;
         }
         let mut readback = self.pool.checkout(spec.result_bytes() as usize);
@@ -647,7 +612,7 @@ impl Worker {
         {
             let mut s = self.shared.lock().unwrap();
             s.completed += 1;
-            s.per_kind[Self::kind_index(spec.kind)] += 1;
+            s.per_kind[spec.kind.index()] += 1;
             s.latency.record(timings.wall);
             s.virt_latency.record_virtual(timings.total_virtual());
             if corrupt {
@@ -663,45 +628,39 @@ impl Worker {
 
     // ---- shared helpers ------------------------------------------------
 
-    /// Switch the device to `kind`'s design and fold the resulting
-    /// task-stats delta (full loads, partial switches, frames,
-    /// reconfiguration time) into the shared counters — the one place
+    /// Switch the device to `kind`'s design ([`Fabric::switch`]) and fold
+    /// the task-stats delta into the shared counters — the one place
     /// reconfiguration accounting lives for both serving paths. Returns
-    /// the reconfiguration time and whether a switch actually happened,
-    /// and updates the same-design batch length the scheduler's batching
-    /// window watches. `charge_busy` additionally bills the
-    /// reconfiguration to the device (the pipelined path; the serial
-    /// path folds it into the job's virtual total instead).
+    /// the reconfiguration time and whether a switch actually happened.
+    /// `charge_busy` additionally bills the reconfiguration to the device
+    /// (the pipelined path; the serial path folds it into the job's
+    /// virtual total instead).
     fn switch_design(
         &mut self,
         kind: JobKind,
         charge_busy: bool,
     ) -> Result<(SimDuration, bool), RuntimeError> {
-        let before: TaskStats = self.coproc.stats();
-        let reconfig = self.load_task(kind)?;
-        let switched = reconfig > SimDuration::ZERO;
-        self.batch_len = if switched { 1 } else { self.batch_len + 1 };
-        if switched {
+        let sw = self.fabric.switch(&self.cache, kind)?;
+        if sw.switched {
             // A (partial) reconfiguration rewrites every differing and
             // corrupted frame, healing pending upsets as a side effect;
             // mirror the fabric tracker, which the config port cleared.
             self.guard.pending.clear();
         }
-        let after = self.coproc.stats();
         {
             let mut s = self.shared.lock().unwrap();
-            s.full_loads += after.full_loads - before.full_loads;
-            s.partial_switches += after.partial_switches - before.partial_switches;
-            s.frames_written += after.frames_written - before.frames_written;
-            s.reconfig_time += after.reconfig_time - before.reconfig_time;
+            s.full_loads += sw.delta.full_loads;
+            s.partial_switches += sw.delta.partial_switches;
+            s.frames_written += sw.delta.frames_written;
+            s.reconfig_time += sw.delta.reconfig_time;
             if charge_busy {
-                s.device_busy[self.device_index] += reconfig;
+                s.device_busy[self.device_index] += sw.reconfig;
             }
         }
         if charge_busy {
-            self.vclock += reconfig;
+            self.vclock += sw.reconfig;
         }
-        Ok((reconfig, switched))
+        Ok((sw.reconfig, sw.switched))
     }
 
     // ---- reliability (atlantis-guard) ----------------------------------
@@ -723,17 +682,18 @@ impl Worker {
             }
             self.guard.schedule_next_upset();
             let stealthy = self.guard.rng.chance(self.guard.cfg.stealth_fraction);
-            let dev = self.coproc.fpga().device();
+            let dev = self.fabric.coproc.fpga().device();
             let (frames, bytes) = (dev.config_frames as u64, dev.frame_bytes as u64);
             let frame = self.guard.rng.below(frames) as u32;
             let byte = self.guard.rng.below(bytes) as u32;
             let bit = self.guard.rng.below(8) as u8;
             let hit = if stealthy {
-                self.coproc
+                self.fabric
+                    .coproc
                     .fpga_mut()
                     .inject_upset_stealthy(frame, byte, bit)
             } else {
-                self.coproc.fpga_mut().inject_upset(frame, byte, bit)
+                self.fabric.coproc.fpga_mut().inject_upset(frame, byte, bit)
             };
             if hit.is_ok() {
                 self.guard.pending.push((t, stealthy));
@@ -817,7 +777,7 @@ impl Worker {
         // (b) Frame-CRC scan (fails harmlessly on an unconfigured
         // device — there is nothing to corrupt there either).
         if cfg.crc_every > 0 && self.guard.beats.is_multiple_of(cfg.crc_every) {
-            if let Ok(c) = self.coproc.crc_check() {
+            if let Ok(c) = self.fabric.coproc.crc_check() {
                 checked = true;
                 check_cost += c.time;
                 if c.stale_frames > 0 {
@@ -831,7 +791,7 @@ impl Worker {
         if let Some(t) = self.guard.next_scrub {
             if self.vclock + check_cost >= t {
                 self.guard.next_scrub = Some(self.vclock + check_cost + cfg.scrub_interval);
-                if let Ok(r) = self.coproc.scrub() {
+                if let Ok(r) = self.fabric.coproc.scrub() {
                     checked = true;
                     scrub_cost += r.time;
                     scrubs += 1;
@@ -847,15 +807,15 @@ impl Worker {
         // Repair: rewrite the frames the CRC scan can identify; a
         // stealthy remainder needs the full golden-image scrub.
         if dirty {
-            if !self.coproc.fpga().pending_upsets().is_empty() {
-                if let Ok(r) = self.coproc.repair_upsets() {
+            if !self.fabric.coproc.fpga().pending_upsets().is_empty() {
+                if let Ok(r) = self.fabric.coproc.repair_upsets() {
                     scrub_cost += r.time;
                     repairs += 1;
                     frames += r.frames_repaired as u64;
                 }
             }
-            if !self.coproc.fpga().pending_upsets().is_empty() {
-                if let Ok(r) = self.coproc.scrub() {
+            if !self.fabric.coproc.fpga().pending_upsets().is_empty() {
+                if let Ok(r) = self.fabric.coproc.scrub() {
                     scrub_cost += r.time;
                     scrubs += 1;
                     frames += r.frames_repaired as u64;
@@ -872,7 +832,7 @@ impl Worker {
         let now = self.vclock + check_cost + scrub_cost;
         let mut settled = 0u64;
         let mut latency = SimDuration::ZERO;
-        if dirty && self.coproc.fpga().pending_upsets().is_empty() {
+        if dirty && self.fabric.coproc.fpga().pending_upsets().is_empty() {
             for (arrival, _) in self.guard.pending.drain(..) {
                 latency += now.saturating_sub(arrival);
                 settled += 1;
@@ -948,26 +908,5 @@ impl Worker {
         for job in jobs.into_iter().flatten() {
             self.requeue_or_fail(job);
         }
-    }
-
-    fn kind_index(kind: JobKind) -> usize {
-        JobKind::ALL
-            .iter()
-            .position(|&k| k == kind)
-            .expect("kind is one of ALL")
-    }
-
-    /// Make sure the workload's design is in this device's task library
-    /// (installing the shared cached fit on first use), then switch.
-    fn load_task(&mut self, kind: JobKind) -> Result<SimDuration, RuntimeError> {
-        let name = kind.design_name();
-        if !self.coproc.has_task(name) {
-            let fitted = self
-                .cache
-                .get(kind)
-                .map_err(|e| RuntimeError::Task(atlantis_core::coprocessor::TaskError::Fit(e)))?;
-            self.coproc.register_fitted(name, (*fitted).clone())?;
-        }
-        Ok(self.coproc.switch_to(name)?)
     }
 }

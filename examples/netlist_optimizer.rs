@@ -44,7 +44,7 @@ fn main() {
     let coeffs = [0u64, 1, 9, 23, 31, 23, 9, 1, 0];
     let d = generated_fir(&coeffs);
     let before = d.stats();
-    let (opt, report) = d.optimized();
+    let (opt, ledger) = d.optimized();
     let after = opt.stats();
 
     println!("design '{}' ({} taps):", d.name(), coeffs.len());
@@ -57,9 +57,11 @@ fn main() {
         after.gates, after.flip_flops, after.components
     );
     println!(
-        "  removed {} nodes ({} constants folded) — {:.0}% of the gates",
-        report.nodes_removed,
-        report.constants_folded,
+        "  {} -> {} live nodes ({} constant folds, {} shared) — {:.0}% of the gates",
+        ledger.nodes_before,
+        ledger.nodes_after,
+        ledger.consts_folded,
+        ledger.subexprs_shared,
         (1.0 - after.gates as f64 / before.gates as f64) * 100.0
     );
 

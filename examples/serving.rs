@@ -22,20 +22,6 @@
 //! quarantine — and the final stats show the detection and repair
 //! ledger. `--scrub-interval MS` tunes the deep-scrub period.
 //!
-//! The simulation-engine knob: `--partitioned [N]` sets the process-wide
-//! CHDL engine default to fused, partitioned evaluation with `N` forced
-//! partitions per logic level (omit `N` for the automatic size-based
-//! policy, which is also the default; DESIGN.md §12). `--no-fusion`
-//! reverts to the raw PR 1 micro-op stream for comparison, and
-//! `--no-netopt` skips the pre-lowering netlist optimizer (constant
-//! folding, subexpression sharing, dead-gate elimination; DESIGN.md §16)
-//! while keeping the selected fusion/dispatch tier — both optimizations
-//! are on by default.
-//! `--dispatch=match|threaded|auto` picks the dispatch tier (DESIGN.md
-//! §14): `match` sweeps the packed stream through one opcode match per
-//! op, `threaded` compiles it to specialized closure chains, and `auto`
-//! (the default) compiles streams large enough to amortize the build.
-//!
 //! The cluster knobs (DESIGN.md §13): any of `--shards N`,
 //! `--tenants N`, or `--offered-load R` switches the demo to the
 //! sharded serving layer — `N` simulated hosts behind the affinity
@@ -51,17 +37,12 @@
 //! Run with: `cargo run --release --example serving` (pipelined, 8 lanes)
 //!       or: `cargo run --release --example serving -- --serial`
 //!       or: `cargo run --release --example serving -- --lanes 16`
-//!       or: `cargo run --release --example serving -- --partitioned 4`
-//!       or: `cargo run --release --example serving -- --no-fusion`
-//!       or: `cargo run --release --example serving -- --no-netopt`
-//!       or: `cargo run --release --example serving -- --dispatch=threaded`
 //!       or: `cargo run --release --example serving -- --upset-rate 2000`
 //!       or: `cargo run --release --example serving -- --upset-rate 2000 --scrub-interval 100`
 //!       or: `cargo run --release --example serving -- --shards 4 --tenants 12 --offered-load 150000`
 //!       or: `cargo run --release --example serving -- --shards 4 --offered-load 150000 --stealing`
 
 use atlantis::apps::jobs::JobSpec;
-use atlantis::chdl::{DispatchMode, EngineConfig, ParallelEval};
 use atlantis::cluster::{
     Cluster, ClusterConfig, LoadGen, LoadGenConfig, StealConfig, StealingPolicy,
 };
@@ -212,43 +193,6 @@ fn main() {
             .and_then(|v| v.parse().ok())
             .expect("--lanes takes a positive integer");
     }
-    // The engine knobs: pick the process-wide CHDL engine default before
-    // any design is compiled. `--partitioned` without a count keeps the
-    // automatic policy; with one it forces that many partitions per level.
-    let mut engine = EngineConfig::default();
-    if let Some(i) = args.iter().position(|a| a == "--partitioned") {
-        engine.parallel = match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n > 0 => ParallelEval::Force(n),
-            _ => ParallelEval::Auto,
-        };
-    }
-    if args.iter().any(|a| a == "--no-fusion") {
-        engine = EngineConfig::unfused();
-    }
-    // `--no-netopt` skips the pre-lowering netlist optimizer (constant
-    // folding, subexpression sharing, dead-gate elimination; DESIGN.md
-    // §16) while keeping whatever fusion/dispatch tier is selected.
-    if args.iter().any(|a| a == "--no-netopt") {
-        engine.netopt = false;
-    }
-    // The dispatch tier: `--dispatch=match|threaded|auto` (also accepted
-    // as `--dispatch <tier>`). `auto` is the default.
-    let dispatch_arg = args.iter().position(|a| a == "--dispatch").map_or_else(
-        || {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--dispatch=").map(str::to_string))
-        },
-        |i| args.get(i + 1).cloned(),
-    );
-    if let Some(tier) = dispatch_arg {
-        engine.dispatch = match tier.as_str() {
-            "match" => DispatchMode::Match,
-            "threaded" => DispatchMode::Threaded,
-            "auto" => DispatchMode::Auto,
-            other => panic!("--dispatch takes match|threaded|auto, got {other:?}"),
-        };
-    }
-    EngineConfig::set_global(engine);
     // The reliability knobs: any of them switches the runtime to the
     // protected posture with the requested overrides.
     let upset_rate = flag_value(&args, "--upset-rate");
@@ -265,30 +209,11 @@ fn main() {
     let system = AtlantisSystem::builder().with_acbs(4).build();
     let rt = Arc::new(Runtime::serve(system, config).expect("system has ACBs to serve on"));
     println!(
-        "serving on {} ACBs, queue capacity {}, pipeline {}, lanes {}, engine {}{}\n",
+        "serving on {} ACBs, queue capacity {}, pipeline {}, lanes {}{}\n",
         rt.devices(),
         rt.queue_capacity(),
         if config.pipeline { "on" } else { "off" },
         config.lanes,
-        {
-            let base = match (engine.fuse, engine.parallel) {
-                (false, _) => "raw".to_string(),
-                (true, ParallelEval::Off) => "fused/serial".to_string(),
-                (true, ParallelEval::Auto) => "fused/auto".to_string(),
-                (true, ParallelEval::Force(n)) => format!("fused/{n}-way"),
-            };
-            let tier = match engine.dispatch {
-                DispatchMode::Match => "match",
-                DispatchMode::Threaded => "threaded",
-                DispatchMode::Auto => "auto-dispatch",
-            };
-            let opt = if engine.netopt {
-                "netopt"
-            } else {
-                "raw-netlist"
-            };
-            format!("{base}/{tier}/{opt}")
-        },
         if config.guard.is_active() {
             format!(
                 ", guard on ({}/s upsets, scrub every {})",
