@@ -186,11 +186,18 @@ pub struct FpgaHistogrammer {
 impl FpgaHistogrammer {
     /// Elaborate the design for `bank` with a RAM width of `lanes` bits.
     pub fn new(bank: &PatternBank, lanes: u32) -> Self {
+        Self::with_sim(bank, lanes, Sim::new)
+    }
+
+    /// [`FpgaHistogrammer::new`], simulating the design on the `Sim` that
+    /// `build` returns for it (engine-tier ablations pass a tuned engine
+    /// or an optimized copy of the design; its ports keep their names).
+    pub fn with_sim(bank: &PatternBank, lanes: u32, build: impl FnOnce(&Design) -> Sim) -> Self {
         let straws = bank.geometry().straws();
         let passes = (bank.len() as u32).div_ceil(lanes);
         let mut d = Design::new(format!("trt_hist_small_{lanes}"));
         build_histogrammer(&mut d, straws, passes, lanes, Some(bank));
-        let sim = Sim::new(&d);
+        let sim = build(&d);
         FpgaHistogrammer {
             sim,
             straws,
@@ -322,6 +329,22 @@ mod tests {
         let (hist, tracks, _) = hw.run_event(&ev.hits, threshold);
         for (p, &h) in hist.iter().enumerate() {
             assert_eq!(tracks.contains(&p), h >= threshold);
+        }
+    }
+
+    #[test]
+    fn readback_tree_collapses_to_select() {
+        // The counter-readback mux tree reaches the engine unshared, so
+        // fusion folds its selector slices into `MUX_BIT` and collapses
+        // the tree into one `SELECT` lookup, leaving no plain mux.
+        let (bank, _) = small_setup();
+        for lanes in [8u32, 16, 48] {
+            let hw = FpgaHistogrammer::new(&bank, lanes);
+            let sim = Sim::new(hw.design());
+            let ops = &sim.engine_stats().expect("compiled engine").opcodes;
+            let count = |name| ops.iter().find(|(n, _)| *n == name).map_or(0, |&(_, c)| c);
+            assert!(count("select") >= 1, "lanes={lanes}: no select: {ops:?}");
+            assert_eq!(count("mux"), 0, "lanes={lanes}: plain muxes left: {ops:?}");
         }
     }
 

@@ -1,35 +1,34 @@
-//! Superop fusion + partitioned evaluation + threaded dispatch bench
+//! Superop fusion + adaptive evaluation + threaded dispatch bench
 //! (DESIGN.md §12 and §14).
 //!
 //! Two netlists, four engine tunings:
 //!
 //! * **TRT-scale** (the `chdl_engine` workload, shared via
 //!   [`atlantis_bench::trt`]): the raw micro-op stream
-//!   (`EngineConfig::unfused()`, PR 1's engine) versus the fused stream
-//!   under match dispatch — the fusion pass must buy ≥1.5x ns/cycle on
-//!   its own. The dispatch tiers are then compared head-to-head in
-//!   **streaming** mode (`EngineConfig::streaming`, the spill-burst /
-//!   full-bank-scan regime where every eval sweeps the whole stream —
-//!   per-hit sparsity routes both tiers through identical queue
-//!   bookkeeping and would measure nothing): the PR 6 flat match sweep
-//!   versus the stream *compiled to closure-chain run blocks*
-//!   (`DispatchMode::Threaded`), which must buy ≥1.2x on the sweep.
+//!   (`EngineConfig::unfused()`) versus the fused stream under match
+//!   dispatch — the fusion pass must buy ≥1.5x ns/cycle on its own. The
+//!   dispatch tiers are then compared head-to-head in **streaming** mode
+//!   (`EngineConfig::streaming`, the spill-burst / full-bank-scan regime
+//!   where every eval sweeps the whole stream — per-hit sparsity routes
+//!   both tiers through identical queue bookkeeping and would measure
+//!   nothing): the flat match sweep versus the stream *compiled to
+//!   closure-chain run blocks* (`DispatchMode::Threaded`), which must buy
+//!   ≥1.2x on the sweep.
 //! * **Deep netlist** (wide × deep combinational fabric seeded by
 //!   free-running counters, so every node toggles every cycle): serial
 //!   per-op queue evaluation (`EngineConfig::serial()`) versus the
-//!   partitioned/adaptive evaluator (`EngineConfig::default()`, which
-//!   sweeps dense level ranges and fans partitions across worker threads
-//!   when the host has them — on a single-core host the ≥2x win comes
-//!   entirely from the level-sweep plan replacing per-op bookkeeping).
+//!   adaptive evaluator (`EngineConfig::default()`), whose level-sweep
+//!   plan replaces per-op bookkeeping and must buy ≥2x.
 //!
 //! Every measured run is cross-checked bit-for-bit against the
-//! interpreter oracle, and the PR 1 floor (compiled ≥2x interpreter) is
-//! re-asserted on the fused+partitioned configuration. Always writes
-//! `BENCH_fusion.json`; run with `--test` for CI's fast smoke mode.
+//! interpreter oracle, and the compiled-engine floor (≥2x over the
+//! interpreter) is re-asserted on the fused+adaptive configuration.
+//! Always writes `BENCH_fusion.json`. `--test` is a fast smoke mode; the
+//! deep floors are sized for the full 4096×16 netlist.
 
 use atlantis_bench::trt::{
-    drive_trt, measure_trt, print_dispatch_ledger, print_fusion_ledger, print_netopt_ledger,
-    trt_scale_design, write_netopt_artifact,
+    drive_trt, measure_trt, print_dispatch_ledger, print_fusion_ledger, trt_scale_design,
+    write_netopt_artifact,
 };
 use atlantis_bench::Checker;
 use atlantis_chdl::{Design, DispatchMode, EngineConfig, ExecMode, Sim};
@@ -202,7 +201,6 @@ fn main() -> std::process::ExitCode {
     let fusion_speedup = unfused_ns / fused_ns;
     let dispatch_speedup = msweep_ns / threaded_ns;
 
-    print_netopt_ledger(&stats);
     print_fusion_ledger(&stats);
     print_dispatch_ledger(&threaded_stats);
     println!("unfused        : {unfused_ns:>8.1} ns/cycle");
@@ -258,7 +256,7 @@ fn main() -> std::process::ExitCode {
         1e6,
     );
 
-    // ---- deep netlist: partitioned/adaptive vs serial per-op ----------
+    // ---- deep netlist: adaptive vs serial per-op ----------------------
     let (cols, depth, deep_cycles) = if test_mode {
         (1024, 6, 200)
     } else {
@@ -266,31 +264,29 @@ fn main() -> std::process::ExitCode {
     };
     let deep = deep_design(cols, depth);
     let mut serial = Sim::with_config(&deep, ExecMode::Compiled, EngineConfig::serial());
-    let mut parted = Sim::new(&deep); // fused + auto partitioning
+    let mut adaptive = Sim::new(&deep); // fused + adaptive sweeps
     let mut deep_oracle = Sim::with_mode(&deep, ExecMode::Interpreted);
-    let deep_stats = parted.engine_stats().unwrap().clone();
+    let deep_stats = adaptive.engine_stats().unwrap().clone();
     let (serial_ns, serial_out) = measure(&mut serial, "deep_out", deep_cycles);
-    let (parted_ns, parted_out) = measure(&mut parted, "deep_out", deep_cycles);
+    let (adaptive_ns, adaptive_out) = measure(&mut adaptive, "deep_out", deep_cycles);
     let (deep_interp_ns, deep_oracle_out) =
         measure(&mut deep_oracle, "deep_out", deep_cycles.min(200));
-    let part_speedup = serial_ns / parted_ns;
-    let interp_speedup = deep_interp_ns / parted_ns;
+    let adaptive_speedup = serial_ns / adaptive_ns;
+    let interp_speedup = deep_interp_ns / adaptive_ns;
 
     println!(
-        "\ndeep netlist ({cols} x {depth}): {} ops, {} levels, {} partitions",
-        deep_stats.ops_final, deep_stats.levels, deep_stats.partitions
+        "\ndeep netlist ({cols} x {depth}): {} ops, {} levels",
+        deep_stats.ops_final, deep_stats.levels
     );
     println!("serial per-op : {serial_ns:>9.1} ns/cycle");
-    println!("partitioned   : {parted_ns:>9.1} ns/cycle  ({part_speedup:.2}x)");
-    println!(
-        "interpreter   : {deep_interp_ns:>9.1} ns/cycle  (partitioned is {interp_speedup:.2}x)"
-    );
+    println!("adaptive      : {adaptive_ns:>9.1} ns/cycle  ({adaptive_speedup:.2}x)");
+    println!("interpreter   : {deep_interp_ns:>9.1} ns/cycle  (adaptive is {interp_speedup:.2}x)");
 
     c.check(
-        "deep: partitioned engine agrees with the interpreter oracle",
+        "deep: adaptive engine agrees with the interpreter oracle",
         // The oracle ran fewer cycles in full mode; compare the serial
         // engine (same cycle count) and spot-check the oracle prefix.
-        parted_out == serial_out,
+        adaptive_out == serial_out,
     );
     c.check(
         "deep: serial engine agrees with the interpreter oracle prefix",
@@ -307,13 +303,13 @@ fn main() -> std::process::ExitCode {
         1e9,
     );
     c.check_band(
-        "deep partitioned speedup over serial per-op eval (>= 2x required)",
-        part_speedup,
+        "deep adaptive speedup over serial per-op eval (>= 2x required)",
+        adaptive_speedup,
         2.0,
         1e6,
     );
     c.check_band(
-        "deep fused+partitioned speedup over the interpreter (PR 1 floor, >= 2x)",
+        "deep fused+adaptive speedup over the interpreter (compiled-engine floor, >= 2x)",
         interp_speedup,
         2.0,
         1e6,

@@ -6,7 +6,7 @@
 //! and ledger-printing code. One copy lives here instead, so the three
 //! benches provably time the same workload.
 
-use atlantis_chdl::{Design, EngineConfig, EngineStats, ExecMode, Signal, Sim};
+use atlantis_chdl::{Design, EngineStats, NetoptLedger, Signal, Sim};
 use std::time::Instant;
 
 /// Straw count of the TRT-scale netlist (and modulus of the hit stream).
@@ -157,105 +157,127 @@ pub fn print_dispatch_ledger(stats: &EngineStats) {
     );
 }
 
-/// Print the netlist-optimizer ledger of a compiled sim: live node
-/// counts before/after the pass pipeline and the per-pass tallies.
-pub fn print_netopt_ledger(stats: &EngineStats) {
-    let before = stats.netopt_nodes_before.max(1);
+/// Print the ledger of one [`Design::optimized`] run: live node counts
+/// before/after the pass pipeline and the per-pass tallies.
+pub fn print_netopt_ledger(ledger: &NetoptLedger) {
     println!(
         "netopt: {} -> {} nodes ({:.1}% reduction; {} folds, {} shared, {} dead, {} iterations)",
-        stats.netopt_nodes_before,
-        stats.netopt_nodes_after,
-        100.0 * (1.0 - stats.netopt_nodes_after as f64 / before as f64),
-        stats.netopt_consts_folded,
-        stats.netopt_subexprs_shared,
-        stats.netopt_dead_gates,
-        stats.netopt_iterations,
+        ledger.nodes_before,
+        ledger.nodes_after,
+        100.0 * ledger.node_reduction(),
+        ledger.consts_folded,
+        ledger.subexprs_shared,
+        ledger.dead_gates,
+        ledger.iterations,
     );
 }
 
-/// Netopt floors shared by the `chdl_engine` and `chdl_fusion` benches:
-/// the optimizer-on TRT stream must lower strictly fewer micro-ops than
-/// the raw stream with a bit-identical digest, and on the deliberately
-/// redundant netlist ([`trt_redundant_design`]) the pass pipeline must
-/// remove ≥10% of the nodes. Always writes `BENCH_netopt.json`; returns
-/// whether every check passed.
+/// Stream `cycles` TRT edges through a default `Sim` of `design`; returns
+/// the engine ledger and the output digest.
+fn streamed(design: &Design, cycles: u64) -> (EngineStats, u64) {
+    let mut sim = Sim::new(design);
+    drive_trt(&mut sim);
+    let (_, digest) = measure_trt(&mut sim, design, cycles);
+    (sim.engine_stats().unwrap().clone(), digest)
+}
+
+/// Netlist-optimizer floors shared by the `chdl_engine` and `chdl_fusion`
+/// benches: the TRT design as [`Design::optimized`] returns it must lower
+/// strictly fewer micro-ops than the design as elaborated, with a
+/// bit-identical digest, and on the deliberately redundant netlist
+/// ([`trt_redundant_design`]) the pass pipeline must remove ≥10% of the
+/// nodes. Each stream's post-fusion op count is recorded alongside: CSE
+/// shares structure fusion would otherwise absorb, so the optimized TRT
+/// stream fuses to more ops than the raw one. Always writes
+/// `BENCH_netopt.json`; returns whether every check passed.
 pub fn write_netopt_artifact(test_mode: bool) -> bool {
     let mut c = crate::Checker::new();
     let cycles: u64 = if test_mode { 4_000 } else { 40_000 };
-    let raw = EngineConfig {
-        netopt: false,
-        ..EngineConfig::default()
-    };
 
-    // Plain TRT: optimizer on vs off.
+    // Plain TRT: optimized copy vs the design as elaborated.
     let trt = trt_scale_design();
-    let mut on = Sim::new(&trt);
-    let mut off = Sim::with_config(&trt, ExecMode::Compiled, raw);
-    drive_trt(&mut on);
-    drive_trt(&mut off);
-    let (_, digest_on) = measure_trt(&mut on, &trt, cycles);
-    let (_, digest_off) = measure_trt(&mut off, &trt, cycles);
-    let stats_on = on.engine_stats().unwrap().clone();
-    let stats_off = off.engine_stats().unwrap().clone();
-    print_netopt_ledger(&stats_on);
+    let (trt_opt, ledger) = trt.optimized();
+    let (opt, digest_opt) = streamed(&trt_opt, cycles);
+    let (raw, digest_raw) = streamed(&trt, cycles);
+    print_netopt_ledger(&ledger);
     println!(
-        "netopt: TRT micro-ops {} (optimized) vs {} (raw)",
-        stats_on.ops_lowered, stats_off.ops_lowered
+        "netopt: TRT micro-ops {} (optimized) vs {} (raw); {} vs {} after fusion",
+        opt.ops_lowered, raw.ops_lowered, opt.ops_final, raw.ops_final
     );
     c.check(
         "netopt: optimized TRT digest agrees with the raw-stream digest",
-        digest_on == digest_off,
+        digest_opt == digest_raw,
     );
     c.check(
         "netopt: optimized TRT lowers fewer micro-ops than the raw stream",
-        stats_on.ops_lowered < stats_off.ops_lowered,
+        opt.ops_lowered < raw.ops_lowered,
     );
-    let trt_reduction = 100.0
-        * (1.0 - stats_on.netopt_nodes_after as f64 / stats_on.netopt_nodes_before.max(1) as f64);
     c.check_band(
         "TRT netopt node reduction percent (>= 10 required)",
-        trt_reduction,
+        100.0 * ledger.node_reduction(),
         10.0,
         100.0,
+    );
+    c.check_band(
+        "TRT optimized micro-ops after fusion (recorded)",
+        opt.ops_final as f64,
+        1.0,
+        1e9,
+    );
+    c.check_band(
+        "TRT raw micro-ops after fusion (recorded)",
+        raw.ops_final as f64,
+        1.0,
+        1e9,
     );
 
     // Redundant TRT: the pipeline must clear the grafted redundancy.
     let red = trt_redundant_design();
-    let mut ron = Sim::new(&red);
-    let mut roff = Sim::with_config(&red, ExecMode::Compiled, raw);
-    drive_trt(&mut ron);
-    drive_trt(&mut roff);
-    let (_, rdigest_on) = measure_trt(&mut ron, &red, cycles);
-    let (_, rdigest_off) = measure_trt(&mut roff, &red, cycles);
-    let rstats = ron.engine_stats().unwrap().clone();
-    print_netopt_ledger(&rstats);
-    let reduction =
-        100.0 * (1.0 - rstats.netopt_nodes_after as f64 / rstats.netopt_nodes_before.max(1) as f64);
+    let (red_opt, rledger) = red.optimized();
+    let (ropt, rdigest_opt) = streamed(&red_opt, cycles);
+    let (rraw, rdigest_raw) = streamed(&red, cycles);
+    print_netopt_ledger(&rledger);
+    println!(
+        "netopt: redundant TRT micro-ops {} (optimized) vs {} (raw); {} vs {} after fusion",
+        ropt.ops_lowered, rraw.ops_lowered, ropt.ops_final, rraw.ops_final
+    );
     c.check(
         "netopt: optimized redundant-TRT digest agrees with the raw-stream digest",
-        rdigest_on == rdigest_off,
+        rdigest_opt == rdigest_raw,
     );
     c.check_band(
         "redundant TRT netopt node reduction percent (>= 10 required)",
-        reduction,
+        100.0 * rledger.node_reduction(),
         10.0,
         100.0,
     );
     c.check_band(
         "redundant TRT dead gates eliminated",
-        rstats.netopt_dead_gates as f64,
+        rledger.dead_gates as f64,
         1.0,
         1e9,
     );
     c.check_band(
         "redundant TRT subexpressions shared",
-        rstats.netopt_subexprs_shared as f64,
+        rledger.subexprs_shared as f64,
         1.0,
         1e9,
     );
     c.check_band(
         "redundant TRT constants folded",
-        rstats.netopt_consts_folded as f64,
+        rledger.consts_folded as f64,
+        1.0,
+        1e9,
+    );
+    c.check_band(
+        "redundant TRT optimized micro-ops after fusion (recorded)",
+        ropt.ops_final as f64,
+        1.0,
+        1e9,
+    );
+    c.check_band(
+        "redundant TRT raw micro-ops after fusion (recorded)",
+        rraw.ops_final as f64,
         1.0,
         1e9,
     );
@@ -285,24 +307,13 @@ mod tests {
     #[test]
     fn redundant_design_shrinks_and_stays_equivalent() {
         let d = trt_redundant_design();
-        let mut on = Sim::new(&d);
-        let mut off = Sim::with_config(
-            &d,
-            ExecMode::Compiled,
-            EngineConfig {
-                netopt: false,
-                ..EngineConfig::default()
-            },
-        );
-        drive_trt(&mut on);
-        drive_trt(&mut off);
-        let (_, a) = measure_trt(&mut on, &d, 64);
-        let (_, b) = measure_trt(&mut off, &d, 64);
-        assert_eq!(a, b, "netopt changed the TRT stream");
-        let s = on.engine_stats().unwrap();
+        let (opt, ledger) = d.optimized();
+        let (_, a) = streamed(&opt, 64);
+        let (_, b) = streamed(&d, 64);
+        assert_eq!(a, b, "optimization changed the TRT stream");
         assert!(
-            s.netopt_nodes_after < s.netopt_nodes_before,
-            "redundancy not removed: {s:?}"
+            ledger.nodes_after < ledger.nodes_before,
+            "redundancy not removed: {ledger:?}"
         );
     }
 }

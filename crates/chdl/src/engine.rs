@@ -15,19 +15,21 @@
 //! common case in the TRT/DAQ pipelines — one port toggling per cycle —
 //! touches a handful of ops instead of the whole graph.
 //!
-//! Since PR 6 the lowered stream is additionally run through a **peephole +
-//! superop fusion pass** (`fuse` in [`EngineConfig`]): constant inputs fold
-//! into `op_imm` immediates, single-consumer producers are absorbed into
-//! their consumer as fused superops (`NAND`, `AND3`, `MUX_EQI`, `REPACK`,
-//! …) executed as one dispatch, and unconsumed dsts are elided. Large
-//! netlists can further opt into **adaptive level-partitioned evaluation**
-//! ([`ParallelEval`]): when a level's dirty population is dense the engine
-//! switches from per-op queue bookkeeping to straight-line sweeps of whole
-//! level ranges, optionally split into contiguous partitions fanned out
-//! across the vendored rayon worker pool (compute phase reads shared
-//! pre-level values and writes per-partition buffers; commit phase writes
-//! back serially in ascending op order, so results are bit-identical and
-//! deterministic regardless of worker count).
+//! The engine lowers the netlist exactly as elaborated: no netlist-level
+//! pass runs inside `Sim::new` (netlist optimization is the explicit
+//! `Design::optimized()` step, taken before construction), so the
+//! peephole pass A below is the only constant folder on the lowering
+//! path. The lowered stream is run through a **peephole + superop fusion
+//! pass** (`fuse` in [`EngineConfig`]): constant inputs fold into `op_imm`
+//! immediates, single-consumer producers are absorbed into their consumer
+//! as fused superops (`NAND`, `AND3`, `MUX_EQI`, `REPACK`, …) executed as
+//! one dispatch, complete select trees collapse into one `SELECT` lookup,
+//! and unconsumed dsts are elided. With **adaptive sweeps** on
+//! (`adaptive` in [`EngineConfig`], the default) a dense dirty population
+//! switches the engine from per-op queue bookkeeping to straight-line
+//! sweeps of whole level ranges, and evals that keep escaping to sweeps
+//! lock a steady-state sweep mode. Every level is evaluated in one
+//! partition, in stream order.
 //!
 //! The same machinery makes clock edges incremental: committing a register
 //! or a memory write marks only the consuming cone dirty, so a design where
@@ -201,22 +203,6 @@ fn repack_parts(c: u32) -> (u32, u32, u32, u64, u64) {
 
 // ---- public configuration & statistics -----------------------------------
 
-/// Parallel / adaptive evaluation policy for the compiled engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelEval {
-    /// Always the serial per-op incremental path (the PR 1 behaviour).
-    Off,
-    /// Adaptive (the default): netlists below an op-count threshold keep
-    /// the serial fast path untouched; larger ones switch to dense
-    /// level-range sweeps when dirty populations are dense, partitioned
-    /// across available worker threads.
-    #[default]
-    Auto,
-    /// Adaptive with exactly this many partitions per level regardless of
-    /// netlist size (useful for tests and benchmarks).
-    Force(usize),
-}
-
 /// How the levelized micro-op stream is dispatched at eval time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
@@ -236,15 +222,18 @@ pub enum DispatchMode {
 
 /// Knobs controlling how a design is lowered onto the compiled engine.
 ///
-/// The default (`fuse` on, [`ParallelEval::Auto`], [`DispatchMode::Auto`],
-/// `netopt` on) is what `Sim::new` uses; `Sim::with_config` takes any
+/// The default (`fuse` and `adaptive` on, [`DispatchMode::Auto`], no
+/// `streaming`) is what `Sim::new` uses; `Sim::with_config` takes any
 /// other configuration as a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Run the peephole + superop fusion pass over the lowered stream.
     pub fuse: bool,
-    /// Partitioned / adaptive evaluation policy.
-    pub parallel: ParallelEval,
+    /// Adaptive level sweeps: a level whose dirty population is dense is
+    /// swept straight-line instead of drained per op, and evals that keep
+    /// escaping to sweeps lock a steady-state sweep mode. Off, every eval
+    /// drains the per-level dirty queues op by op.
+    pub adaptive: bool,
     /// Dispatch backend: per-op `match` or compiled closure chains.
     pub dispatch: DispatchMode,
     /// Force full-stream sweeps on every eval, skipping dirty tracking
@@ -254,50 +243,40 @@ pub struct EngineConfig {
     /// straight-line sweep the dispatch tiers compile for. Sparse
     /// workloads regress badly under it — leave off unless profiled.
     pub streaming: bool,
-    /// Run the netlist-level optimization pipeline (`crate::nir`) before
-    /// lowering: constant folding, common-subexpression sharing and
-    /// dead-gate elimination on the node graph itself, so every
-    /// downstream tier (fusion, dispatch, lanes) sees a smaller stream.
-    /// On by default; `Sim` skips it in interpreter mode so the oracle
-    /// always walks the elaborated tree verbatim.
-    pub netopt: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             fuse: true,
-            parallel: ParallelEval::Auto,
+            adaptive: true,
             dispatch: DispatchMode::Auto,
             streaming: false,
-            netopt: true,
         }
     }
 }
 
 impl EngineConfig {
-    /// Fusion on, parallel evaluation off, match dispatch — the serial
-    /// fused engine (the PR 6 shape, used as a bench baseline; dispatch
-    /// stays `Match` so speedup floors measure one change at a time).
+    /// Fusion on, adaptive sweeps off, match dispatch — the serial fused
+    /// engine (a bench baseline; dispatch stays `Match` so speedup floors
+    /// measure one change at a time).
     pub fn serial() -> Self {
         EngineConfig {
             fuse: true,
-            parallel: ParallelEval::Off,
+            adaptive: false,
             dispatch: DispatchMode::Match,
             streaming: false,
-            netopt: true,
         }
     }
 
-    /// Fusion, parallel evaluation and netlist optimization all off, match
-    /// dispatch — the raw PR 1 lowering (benchmark baseline).
+    /// Fusion and adaptive sweeps off, match dispatch — the raw lowered
+    /// stream (benchmark baseline).
     pub fn unfused() -> Self {
         EngineConfig {
             fuse: false,
-            parallel: ParallelEval::Off,
+            adaptive: false,
             dispatch: DispatchMode::Match,
             streaming: false,
-            netopt: false,
         }
     }
 }
@@ -320,8 +299,6 @@ pub struct EngineStats {
     pub ops_elided: usize,
     /// Logic levels in the final stream.
     pub levels: usize,
-    /// Partitions per level used by partitioned evaluation (1 = serial).
-    pub partitions: usize,
     /// Threaded-dispatch compile passes run: the eager build at lowering
     /// time plus every rebuild after a backdoor poke or lane-count change.
     pub compiles: usize,
@@ -344,20 +321,12 @@ pub struct EngineStats {
     /// Full final-stream opcode histogram (superops and plain ops alike),
     /// sorted by descending count.
     pub opcodes: Vec<(&'static str, usize)>,
-    /// Live netlist nodes before the pre-lowering netopt pipeline ran
-    /// (0 when netopt was off for this sim).
-    pub netopt_nodes_before: usize,
-    /// Live netlist nodes handed to lowering after the netopt pipeline.
+    /// Netlist nodes handed to lowering: the design's node count, since
+    /// the engine lowers the netlist exactly as elaborated (run
+    /// `Design::optimized()` first to shrink it). The name is kept from
+    /// when a netlist pass ran inside `Sim::new` because the served-path
+    /// benchmark reports this field as `chdl.netopt_nodes_after`.
     pub netopt_nodes_after: usize,
-    /// Rewrites applied by the netopt constant-folding pass (definitions
-    /// folded to constants plus identity-simplified operand edges).
-    pub netopt_consts_folded: usize,
-    /// Operand edges the netopt CSE pass redirected onto shared structure.
-    pub netopt_subexprs_shared: usize,
-    /// Gates the netopt liveness pass eliminated before lowering.
-    pub netopt_dead_gates: usize,
-    /// Fixed-point iterations the netopt pass manager ran (0 = off).
-    pub netopt_iterations: usize,
 }
 
 // ---- shared lowering & scalar execution ----------------------------------
@@ -554,7 +523,7 @@ fn visit_code_operands(code: u8, a: u32, b: u32, c: u32, mut f: impl FnMut(u32))
     }
 }
 
-// ---- adaptive / partitioned evaluation tuning ----------------------------
+// ---- adaptive evaluation tuning ------------------------------------------
 
 /// A level whose entire op range is queued cascades into straight-line
 /// execution of everything at and below it, skipping queue bookkeeping —
@@ -563,16 +532,6 @@ const CASCADE_MIN_SPAN: usize = 128;
 /// A level at least half-queued is swept densely (with change detection)
 /// instead of drained per-op, when at least this many ops wide.
 const DENSE_MIN_SPAN: usize = 64;
-/// Minimum ops in a sweep before it is fanned out across partitions.
-const PAR_MIN_OPS: usize = 2048;
-/// `ParallelEval::Auto` engages the adaptive sweep heuristics at this op
-/// count; below it the serial per-op fast path is untouched.
-const ADAPT_MIN_OPS: usize = 256;
-/// Under `Auto`, netlists at least this big also fan dense sweeps out
-/// across the worker pool (smaller ones sweep single-partition).
-const AUTO_MIN_OPS: usize = 4096;
-/// Partition-count ceiling under `Auto` (diminishing returns past this).
-const MAX_AUTO_PARTS: usize = 8;
 /// A straight-line sweep of the remaining stream replaces queue draining
 /// when at least `1/SWEEP_DENSITY` of it is already queued — per-op queue
 /// bookkeeping (flag writes, successor walks, dedupe checks) costs about
@@ -602,17 +561,6 @@ const RUN_MIN_LEN: usize = 8;
 /// in a register with the opcode dispatch hoisted out entirely.
 const CHAIN_MIN: usize = 4;
 
-/// One partition's compute buffer for two-phase parallel sweeps: phase A
-/// executes `ops[lo..hi]` (a range of op indices, or a slice of a dirty
-/// queue) against the shared pre-level values and stages results in `out`;
-/// phase B commits `out` serially in ascending op order.
-#[derive(Debug, Clone, Default)]
-struct PartBuf {
-    lo: usize,
-    hi: usize,
-    out: Vec<u64>,
-}
-
 // ---- direct-threaded dispatch (compiled closure chains) -------------------
 
 /// Borrowed execution context handed to threaded per-level blocks: the
@@ -627,8 +575,9 @@ pub(crate) struct ExecState<'a> {
 /// One compiled op: a pure compute closure specialized to its opcode with
 /// operand slots, masks, shifts and immediates captured as constants. The
 /// *caller* stores the result (and runs change detection where the path
-/// needs it), so one closure serves the incremental, dense, and
-/// partitioned paths alike — including rayon workers, hence `Send + Sync`.
+/// needs it), so one closure serves the incremental and dense paths
+/// alike. `Send + Sync` keeps `Sim` usable from worker threads (the
+/// fabric steps each device on its own rayon worker).
 type OpFn = Box<dyn Fn(&[u64], &[Vec<u64>]) -> u64 + Send + Sync>;
 
 /// One compiled run block: straight-line execution of a same-opcode op
@@ -643,7 +592,7 @@ type BlockFn = Box<dyn Fn(&mut ExecState) + Send + Sync>;
 type LaneOpFn = Box<dyn Fn(&mut LaneState) -> bool + Send + Sync>;
 
 /// The threaded program for one compiled stream: per-op closures for the
-/// incremental and partitioned paths, plus the dense sweep plan — ops of
+/// incremental path, plus the dense sweep plan — ops of
 /// each level sorted by opcode and chained into *run blocks* (one
 /// specialized loop per same-opcode run, the "superinstruction" form of
 /// direct threading). Sorting within a level is safe: levelization
@@ -910,19 +859,15 @@ pub(crate) struct CompiledEngine {
     /// Async read-port ops per memory (recompute targets after pokes/writes).
     mem_cons: Vec<Vec<u32>>,
 
-    // ---- adaptive / partitioned evaluation ----
+    // ---- adaptive evaluation ----
     /// Op-index boundary of each level: level `l` is
     /// `level_start[l]..level_start[l+1]` (len = levels + 1).
     level_start: Vec<u32>,
-    /// Partitions per dense sweep (1 = serial).
-    parts: usize,
-    /// Dense/cascade sweep heuristics enabled.
+    /// Dense/cascade sweep heuristics enabled (`EngineConfig::adaptive`).
     adaptive: bool,
     /// Pinned full-stream sweeps (`EngineConfig::streaming`): every eval
     /// straight-lines the whole stream, no dirty tracking consulted.
     streaming: bool,
-    /// Persistent per-partition compute buffers.
-    par_bufs: Vec<PartBuf>,
     /// Per-node minimum consumer level (`levels` when unconsumed) — lets
     /// sweep-mode marking run in O(1) instead of walking the consumer CSR.
     node_min_lvl: Vec<u32>,
@@ -1073,6 +1018,7 @@ impl CompiledEngine {
 
         let mut stats = EngineStats {
             ops_lowered: w.code.len(),
+            netopt_nodes_after: n,
             ..EngineStats::default()
         };
 
@@ -1125,10 +1071,8 @@ impl CompiledEngine {
             cons: Vec::new(),
             mem_cons: vec![Vec::new(); mem_count],
             level_start: Vec::new(),
-            parts: 1,
-            adaptive: false,
-            streaming: false,
-            par_bufs: Vec::new(),
+            adaptive: config.adaptive,
+            streaming: config.streaming,
             node_min_lvl: Vec::new(),
             mem_min_lvl: Vec::new(),
             sweep_mode: false,
@@ -1192,9 +1136,8 @@ impl CompiledEngine {
         // the dst of a fused-away op. Sources (inputs, constants) appear
         // in `order` too but lower to no op — they carry their own value.
         // A node's slot stays current iff it carries its own value
-        // (sources, constants, state) or the final stream produces it.
-        // Op-lowered nodes outside the schedule — fused-away dsts and
-        // netopt-dead cones — are recomputed on demand by the owner.
+        // (sources, constants, state) or the final stream produces it;
+        // fused-away dsts are recomputed on demand by the owner.
         eng.computed = (0..n as u32)
             .map(|i| lower_op(nodes, i).is_none())
             .collect();
@@ -1252,32 +1195,12 @@ impl CompiledEngine {
         eng.mem_min_lvl = mem_min_lvl;
         eng.sweep_first = level_count as u32;
 
-        // Partitioned / adaptive evaluation policy.
         let ops_final = eng.op_code.len();
-        match config.parallel {
-            ParallelEval::Off => {}
-            ParallelEval::Auto => {
-                if ops_final >= ADAPT_MIN_OPS {
-                    eng.adaptive = true;
-                }
-                if ops_final >= AUTO_MIN_OPS {
-                    eng.parts = rayon::current_num_threads().clamp(1, MAX_AUTO_PARTS);
-                }
-            }
-            ParallelEval::Force(p) => {
-                eng.adaptive = true;
-                eng.parts = p.max(1);
-            }
-        }
-        if eng.parts > 1 {
-            eng.par_bufs = vec![PartBuf::default(); eng.parts];
-        }
         eng.use_threaded = match config.dispatch {
             DispatchMode::Match => false,
             DispatchMode::Threaded => true,
             DispatchMode::Auto => ops_final >= THREADED_MIN_OPS,
         };
-        eng.streaming = config.streaming;
 
         // State-commit plan: registers grouped by (clr, en) presence so the
         // per-cycle sampling loops are branch-free within each class.
@@ -1348,7 +1271,6 @@ impl CompiledEngine {
         // Final stream statistics.
         eng.stats.ops_final = ops_final;
         eng.stats.levels = level_count;
-        eng.stats.partitions = eng.parts;
         let mut superops: Vec<(&'static str, usize)> = Vec::new();
         let mut opcodes: Vec<(&'static str, usize)> = Vec::new();
         let bump = |histo: &mut Vec<(&'static str, usize)>, name| match histo
@@ -1955,7 +1877,7 @@ impl CompiledEngine {
 
     /// Build (or rebuild, after a backdoor poke or clone) the scalar
     /// threaded program: one specialized closure per op for the
-    /// incremental/partitioned paths, plus the dense sweep plan — each
+    /// incremental path, plus the dense sweep plan — each
     /// level's ops sorted by opcode and compiled into run blocks —
     /// recording the compile ledger.
     fn rebuild_threaded(&mut self) {
@@ -2153,8 +2075,8 @@ impl CompiledEngine {
     /// Settle combinational values. Chooses the dense sweep when everything
     /// is stale; otherwise drains the per-level dirty queues — and, when
     /// the adaptive policy is engaged and a level's dirty population is
-    /// dense, switches to straight-line (optionally partitioned) sweeps of
-    /// whole level ranges, skipping per-op queue bookkeeping.
+    /// dense, switches to straight-line sweeps of whole level ranges,
+    /// skipping per-op queue bookkeeping.
     ///
     /// Under threaded dispatch the compiled program is taken out of its
     /// cache slot for the duration of the eval (the borrow checker cannot
@@ -2181,7 +2103,7 @@ impl CompiledEngine {
     /// The eval body, parameterized over the dispatch backend.
     fn eval_inner(&mut self, prog: Option<&ThreadedProgram>, vals: &mut [u64], mems: &[Vec<u64>]) {
         if self.full_dirty {
-            self.eval_dense(prog, vals, mems);
+            self.exec_levels_raw(prog, 0, vals, mems);
             self.full_dirty = false;
             self.reset_dirty();
             self.sweep_first = self.level_queues.len() as u32;
@@ -2269,7 +2191,14 @@ impl CompiledEngine {
                 }
                 queue.clear();
                 self.level_queues[lvl] = queue;
-                self.exec_range(prog, lo, hi, true, vals, mems);
+                for op in lo..hi {
+                    let new = self.compute_op(prog, op, vals, mems);
+                    let dst = self.op_dst[op];
+                    if vals[dst as usize] != new {
+                        vals[dst as usize] = new;
+                        self.mark_node_dirty(dst);
+                    }
+                }
             } else {
                 self.drain_level(prog, lvl, vals, mems);
             }
@@ -2300,9 +2229,7 @@ impl CompiledEngine {
         }
     }
 
-    /// Drain one level's dirty queue per-op (the PR 1 incremental path).
-    /// Large queues are fanned out across partitions with the same
-    /// two-phase compute/commit scheme as the dense sweeps.
+    /// Drain one level's dirty queue per-op (the incremental path).
     fn drain_level(
         &mut self,
         prog: Option<&ThreadedProgram>,
@@ -2313,84 +2240,38 @@ impl CompiledEngine {
         // Take the queue out so `mark_node_dirty` (which only ever pushes
         // to deeper levels) can borrow `self` freely.
         let mut queue = std::mem::take(&mut self.level_queues[lvl]);
-        if self.parts > 1 && queue.len() >= PAR_MIN_OPS {
-            for &op in &queue {
-                self.op_dirty[op as usize] = false;
-            }
-            let mut bufs = self.compute_parallel(prog, Some(&queue), 0, queue.len(), vals, mems);
-            self.commit_bufs(&mut bufs, Some(&queue), true, vals);
-            self.par_bufs = bufs;
-        } else {
-            for &op32 in &queue {
-                let op = op32 as usize;
-                self.op_dirty[op] = false;
-                let new = self.compute_op(prog, op, vals, mems);
-                let dst = self.op_dst[op];
-                if vals[dst as usize] != new {
-                    vals[dst as usize] = new;
-                    self.mark_node_dirty(dst);
-                }
+        for &op32 in &queue {
+            let op = op32 as usize;
+            self.op_dirty[op] = false;
+            let new = self.compute_op(prog, op, vals, mems);
+            let dst = self.op_dst[op];
+            if vals[dst as usize] != new {
+                vals[dst as usize] = new;
+                self.mark_node_dirty(dst);
             }
         }
         queue.clear();
         self.level_queues[lvl] = queue; // keep the allocation
     }
 
-    /// Execute ops `lo..hi` (one level). With `detect`, changed dsts mark
-    /// their consumers; without, values are stored unconditionally.
-    fn exec_range(
-        &mut self,
-        prog: Option<&ThreadedProgram>,
-        lo: usize,
-        hi: usize,
-        detect: bool,
-        vals: &mut [u64],
-        mems: &[Vec<u64>],
-    ) {
-        if self.parts > 1 && hi - lo >= PAR_MIN_OPS {
-            let mut bufs = self.compute_parallel(prog, None, lo, hi, vals, mems);
-            self.commit_bufs(&mut bufs, None, detect, vals);
-            self.par_bufs = bufs;
-        } else if detect {
-            for op in lo..hi {
-                let new = self.compute_op(prog, op, vals, mems);
-                let dst = self.op_dst[op];
-                if vals[dst as usize] != new {
-                    vals[dst as usize] = new;
-                    self.mark_node_dirty(dst);
-                }
-            }
-        } else {
-            for op in lo..hi {
-                vals[self.op_dst[op] as usize] = self.compute_op(prog, op, vals, mems);
-            }
-        }
-    }
-
     /// Straight-line execute every level from `from` down, no bookkeeping.
-    /// Serially under threaded dispatch this is the closure-chain fast
-    /// path: the per-level blocks run back to back with no opcode
-    /// dispatch, no field loads, and no change detection.
+    /// Under threaded dispatch this is the closure-chain fast path: the
+    /// per-level blocks run back to back with no opcode dispatch, no field
+    /// loads, and no change detection.
     fn exec_levels_raw(
-        &mut self,
+        &self,
         prog: Option<&ThreadedProgram>,
         from: usize,
         vals: &mut [u64],
         mems: &[Vec<u64>],
     ) {
-        if self.parts > 1 {
-            for lvl in from..self.level_queues.len() {
-                let lo = self.level_start[lvl] as usize;
-                let hi = self.level_start[lvl + 1] as usize;
-                self.exec_range(prog, lo, hi, false, vals, mems);
-            }
-        } else if let Some(p) = prog {
+        if let Some(p) = prog {
             let mut st = ExecState { vals, mems };
             for run in &p.runs[p.run_start[from] as usize..] {
                 run(&mut st);
             }
         } else {
-            // Serially the stream is already topological — one flat sweep.
+            // The stream is already topological — one flat sweep.
             // Equal-length sub-slices let the optimizer hoist the op-array
             // bounds checks out of the (hot) loop.
             let lo = self.level_start[from] as usize;
@@ -2418,96 +2299,6 @@ impl CompiledEngine {
                     )
                 };
                 vals[dsts[k] as usize] = new;
-            }
-        }
-    }
-
-    /// Phase A of a partitioned sweep: split the work (an op-index range,
-    /// or a dirty-queue slice) into contiguous partitions and execute them
-    /// across the worker pool. Reads shared pre-level values only — level
-    /// membership guarantees no task reads another's destination — and
-    /// stages results in per-partition buffers. Under threaded dispatch
-    /// each worker runs its partition's run of specialized closures
-    /// (`OpFn` is `Sync`, so the program is shared, not cloned).
-    fn compute_parallel(
-        &mut self,
-        prog: Option<&ThreadedProgram>,
-        queue: Option<&[u32]>,
-        lo: usize,
-        hi: usize,
-        vals: &[u64],
-        mems: &[Vec<u64>],
-    ) -> Vec<PartBuf> {
-        use rayon::prelude::*;
-        let mut bufs = std::mem::take(&mut self.par_bufs);
-        let span = hi - lo;
-        let k = bufs.len();
-        let (base, extra) = (span / k, span % k);
-        let mut start = lo;
-        for (w, b) in bufs.iter_mut().enumerate() {
-            let size = base + usize::from(w < extra);
-            b.lo = start;
-            b.hi = start + size;
-            b.out.clear();
-            start += size;
-        }
-        let eng = &*self;
-        bufs.par_iter_mut().for_each(|b| {
-            b.out.reserve(b.hi - b.lo);
-            match queue {
-                Some(q) => {
-                    for &op in &q[b.lo..b.hi] {
-                        b.out.push(eng.compute_op(prog, op as usize, vals, mems));
-                    }
-                }
-                None => {
-                    for op in b.lo..b.hi {
-                        b.out.push(eng.compute_op(prog, op, vals, mems));
-                    }
-                }
-            }
-        });
-        bufs
-    }
-
-    /// Phase B: commit partition results serially in ascending op order
-    /// (deterministic regardless of worker count or schedule).
-    fn commit_bufs(
-        &mut self,
-        bufs: &mut [PartBuf],
-        queue: Option<&[u32]>,
-        detect: bool,
-        vals: &mut [u64],
-    ) {
-        for b in bufs.iter_mut() {
-            for (j, slot) in (b.lo..b.hi).enumerate() {
-                let op = match queue {
-                    Some(q) => q[slot] as usize,
-                    None => slot,
-                };
-                let new = b.out[j];
-                let dst = self.op_dst[op];
-                if detect {
-                    if vals[dst as usize] != new {
-                        vals[dst as usize] = new;
-                        self.mark_node_dirty(dst);
-                    }
-                } else {
-                    vals[dst as usize] = new;
-                }
-            }
-            b.out.clear();
-        }
-    }
-
-    /// Dense sweep: execute every op in level/topological order.
-    #[inline]
-    fn eval_dense(&mut self, prog: Option<&ThreadedProgram>, vals: &mut [u64], mems: &[Vec<u64>]) {
-        if self.parts > 1 || prog.is_some() {
-            self.exec_levels_raw(prog, 0, vals, mems);
-        } else {
-            for i in 0..self.op_code.len() {
-                vals[self.op_dst[i] as usize] = self.exec_op(i, vals, mems);
             }
         }
     }
@@ -2676,12 +2467,6 @@ impl CompiledEngine {
         &self.stats
     }
 
-    /// Mutable access for the owner to graft pre-lowering accounting (the
-    /// netopt ledger) into the stream statistics.
-    pub(crate) fn stats_mut(&mut self) -> &mut EngineStats {
-        &mut self.stats
-    }
-
     /// Whether `vals[node]` is kept current by the engine. Nodes fused or
     /// elided out of the stream return `false` and must be evaluated on
     /// demand from their (still-computed) cone.
@@ -2738,9 +2523,7 @@ impl CompiledEngine {
     // to SIMD.
     //
     // The laned paths run the *same fused stream* as the scalar engine and
-    // honor the same adaptive dense/cascade heuristics, but execute them
-    // serially (the lane inner loops already saturate the memory ports) —
-    // a documented bit-exact fallback from cross-partition threading.
+    // honor the same adaptive dense/cascade heuristics.
 
     /// Execute op `i` across every lane. Returns whether any lane's
     /// destination value changed.

@@ -65,7 +65,7 @@ pub mod stdcells;
 pub mod trace;
 pub mod vcd;
 
-pub use engine::{DispatchMode, EngineConfig, EngineStats, ParallelEval};
+pub use engine::{DispatchMode, EngineConfig, EngineStats};
 pub use error::ChdlError;
 pub use lanes::LaneGroup;
 pub use netlist::{Design, MemId, NetlistStats, RegSlot};

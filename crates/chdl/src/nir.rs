@@ -18,33 +18,27 @@
 //!   structural identity; duplicate consumers are redirected onto the
 //!   first occurrence.
 //! * [`DeadGateElim`] — output-reachability liveness; unreachable gates
-//!   are marked dead and excluded from lowering (and from
-//!   [`Nir::to_design`] compaction).
+//!   and state are marked dead and dropped by [`Nir::to_design`]
+//!   compaction.
 //!
 //! The [`PassManager`] iterates a pass list to a fixed point (each pass
 //! reports the number of rewrites it applied; a full round of zeros
 //! terminates) and fills a [`NetoptLedger`] with per-pass records plus
 //! depth/fanout analysis from [`Nir::analyze`].
+//! [`PassManager::standard`] is the pipeline: state unreachable from any
+//! output, label, write port or `dont_touch` node is dropped with the
+//! dead gates.
 //!
-//! Two pipelines are provided:
-//!
-//! * [`PassManager::lowering`] — the conservative pipeline
-//!   [`Sim`](crate::Sim) runs before engine lowering when
-//!   [`EngineConfig::netopt`](crate::EngineConfig) is on. It keeps all
-//!   registers and synchronous read ports (state must keep latching even
-//!   when no output currently observes it — a poke or a late probe may),
-//!   so only pure combinational redundancy is removed.
-//! * [`PassManager::standard`] — the aggressive pipeline for standalone
-//!   use via [`Nir::to_design`]: state unreachable from any output, label,
-//!   write port or `dont_touch` node is dropped too.
-//!
-//! A standalone view ([`Nir::from_design`]) owns its interface, so
-//! [`ConstFold`] and [`ShareSubexprs`] also move outputs and labels onto
-//! the node their source aliases to (through identity rewrites and onto a
-//! structural twin), leaving no identity gate in front of an output. The
-//! view `Sim` lowers from keeps every output and label on its source slot,
-//! because its signal handles index the original design.
-//! [`Design::optimized`] is the one-call standalone pipeline.
+//! A view ([`Nir::from_design`]) owns its interface, so [`ConstFold`] and
+//! [`ShareSubexprs`] also move outputs and labels onto the node their
+//! source aliases to (through identity rewrites and onto a structural
+//! twin), leaving no identity gate in front of an output.
+//! [`Design::optimized`] is the one-call pipeline, and the only netlist
+//! optimizer: [`Sim`](crate::Sim) lowers whatever design it is given
+//! exactly as elaborated, so optimizing is an explicit step taken before
+//! `Sim::new`. Sharing is not free downstream — a shared node has several
+//! consumers, which the engine's superop fusion cannot absorb — so the
+//! optimized netlist can lower to fewer ops yet fuse to more.
 //!
 //! Nodes marked [`Design::set_dont_touch`] survive every pass verbatim:
 //! never folded, never redirected onto a twin, never declared dead.
@@ -55,7 +49,7 @@
 //! registers, across engine configurations.
 
 use crate::engine::{exec_scalar, lower_op};
-use crate::netlist::{node_width, BinOp, Design, MemoryDecl, Node, UnOp, WritePortDecl, UNDRIVEN};
+use crate::netlist::{node_width, BinOp, Design, MemoryDecl, Node, UnOp, UNDRIVEN};
 use crate::signal::mask;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -106,36 +100,6 @@ pub struct Nir {
     d: Design,
     dont_touch: Vec<bool>,
     dead: Vec<bool>,
-    /// Whether passes may rebind outputs and labels through aliases
-    /// (standalone views only; see the module docs).
-    rebind_interface: bool,
-}
-
-/// Decomposed result of the pre-lowering pipeline, consumed by `Sim`.
-pub(crate) struct LoweredNetopt {
-    pub nodes: Vec<Node>,
-    pub write_ports: Vec<WritePortDecl>,
-    /// Per-node dead flags in the source index space; dead nodes are
-    /// filtered out of the evaluation order.
-    pub dead: Vec<bool>,
-    pub ledger: NetoptLedger,
-}
-
-/// Run the conservative [`PassManager::lowering`] pipeline over a design,
-/// returning the rewritten graph in the **original index space** (dead
-/// nodes flagged, not compacted) so every signal handle stays valid.
-pub(crate) fn optimize_for_lowering(design: &Design) -> LoweredNetopt {
-    let mut nir = Nir {
-        rebind_interface: false,
-        ..Nir::from_design(design)
-    };
-    let ledger = PassManager::lowering().run(&mut nir);
-    LoweredNetopt {
-        nodes: nir.d.nodes,
-        write_ports: nir.d.write_ports,
-        dead: nir.dead,
-        ledger,
-    }
 }
 
 impl Design {
@@ -167,7 +131,6 @@ impl Nir {
             d: design.clone(),
             dont_touch,
             dead: vec![false; n],
-            rebind_interface: true,
         }
     }
 
@@ -584,8 +547,8 @@ fn rewrite_comb_refs(node: &mut Node, alias: &[u32]) -> usize {
 
 /// Materialize the alias table into register and write-port references
 /// (these may point forward, so they are rewritten only after a full
-/// sweep has populated the table) and, in a standalone view, into outputs
-/// and labels. Returns references changed.
+/// sweep has populated the table) and into outputs and labels. Returns
+/// references changed.
 fn rewrite_state_refs(nir: &mut Nir, alias: &[u32]) -> usize {
     let mut changed = 0;
     for i in 0..nir.d.nodes.len() {
@@ -614,15 +577,13 @@ fn rewrite_state_refs(nir: &mut Nir, alias: &[u32]) -> usize {
             }
         }
     }
-    if nir.rebind_interface {
-        let outputs = nir.d.outputs.iter_mut().map(|o| &mut o.src);
-        let labels = nir.d.names.values_mut().map(|sig| &mut sig.node);
-        for r in outputs.chain(labels) {
-            let t = resolve(alias, *r);
-            if t != *r {
-                *r = t;
-                changed += 1;
-            }
+    let outputs = nir.d.outputs.iter_mut().map(|o| &mut o.src);
+    let labels = nir.d.names.values_mut().map(|sig| &mut sig.node);
+    for r in outputs.chain(labels) {
+        let t = resolve(alias, *r);
+        if t != *r {
+            *r = t;
+            changed += 1;
         }
     }
     changed
@@ -875,16 +836,9 @@ impl Pass for ShareSubexprs {
 }
 
 /// Dead-gate elimination by reachability from the observable roots:
-/// inputs, outputs, labels, write-port operands, `dont_touch` nodes — and,
-/// with `keep_state`, every register and synchronous read port.
-pub struct DeadGateElim {
-    /// Keep all state nodes alive even when unreachable from any output.
-    /// The pre-lowering pipeline sets this: simulator state must keep
-    /// latching (a poke or late probe may observe it), so only pure
-    /// combinational cones are eliminated. The standalone pipeline clears
-    /// it and drops unreachable state too.
-    pub keep_state: bool,
-}
+/// inputs, outputs, labels, write-port operands and `dont_touch` nodes.
+/// Registers and read ports no root reaches are dead too.
+pub struct DeadGateElim;
 
 impl Pass for DeadGateElim {
     fn name(&self) -> &'static str {
@@ -905,11 +859,7 @@ impl Pass for DeadGateElim {
             if nir.dead[i] {
                 continue;
             }
-            let root = matches!(node, Node::Input { .. })
-                || nir.dont_touch[i]
-                || (self.keep_state
-                    && matches!(node, Node::Reg { .. } | Node::ReadPort { sync: true, .. }));
-            if root {
+            if matches!(node, Node::Input { .. }) || nir.dont_touch[i] {
                 mark(i as u32, &mut live, &mut stack);
             }
         }
@@ -958,8 +908,9 @@ pub struct PassRecord {
     pub rewrites: usize,
 }
 
-/// Aggregate accounting of one [`PassManager::run`], surfaced through
-/// `Sim::engine_stats()` and the bench `BENCH_netopt.json` artifact.
+/// Aggregate accounting of one [`PassManager::run`], returned by
+/// [`Design::optimized`] and recorded in the bench `BENCH_netopt.json`
+/// artifact.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetoptLedger {
     /// Live nodes before the pipeline ran.
@@ -1005,27 +956,14 @@ pub struct PassManager {
 }
 
 impl PassManager {
-    /// The aggressive standalone pipeline: [`ConstFold`],
-    /// [`ShareSubexprs`], then [`DeadGateElim`] with `keep_state: false`
-    /// (state unreachable from every observable root is dropped). Use with
-    /// [`Nir::to_design`] for export or re-elaboration.
+    /// The pipeline: [`ConstFold`], [`ShareSubexprs`], then
+    /// [`DeadGateElim`] (state unreachable from every observable root is
+    /// dropped). Use with [`Nir::to_design`] for export or re-elaboration.
     pub fn standard() -> Self {
         Self::with_passes(vec![
             Box::new(ConstFold),
             Box::new(ShareSubexprs),
-            Box::new(DeadGateElim { keep_state: false }),
-        ])
-    }
-
-    /// The conservative pre-lowering pipeline `Sim` runs when
-    /// [`EngineConfig::netopt`](crate::EngineConfig) is on: same passes but
-    /// `keep_state: true`, so registers and synchronous read ports always
-    /// survive and only pure combinational redundancy is removed.
-    pub fn lowering() -> Self {
-        Self::with_passes(vec![
-            Box::new(ConstFold),
-            Box::new(ShareSubexprs),
-            Box::new(DeadGateElim { keep_state: true }),
+            Box::new(DeadGateElim),
         ])
     }
 

@@ -16,6 +16,10 @@
 //! * [`ExecMode::Compiled`] (the default) lowers the netlist into the flat
 //!   micro-op stream of the `engine` module, with incremental re-evaluation
 //!   and an allocation-free batch path ([`Sim::run_batch`]).
+//!   Construction runs no netlist-level pass: the stream is lowered from
+//!   the design exactly as elaborated, so signal handles index it
+//!   directly. To simulate a smaller netlist, build the `Sim` from
+//!   [`Design::optimized`].
 //! * [`ExecMode::Interpreted`] walks the `Node` tree exactly as elaborated.
 //!   It is retained as the reference oracle; `tests/engine_equiv.rs`
 //!   co-simulates both on randomized netlists.
@@ -54,8 +58,8 @@ pub struct Sim {
     vals: Vec<u64>,
     mems: Vec<Vec<u64>>,
     names: HashMap<String, Signal>,
-    /// Nodes the design marked `dont_touch` (sorted): kept by the netopt
-    /// passes and protected from fusion elision, here and in lane forks.
+    /// Nodes the design marked `dont_touch` (sorted): protected from
+    /// fusion elision, here and in lane forks.
     dont_touch: Vec<u32>,
     /// Interpreter-mode "combinational values stale" flag.
     dirty: bool,
@@ -103,7 +107,7 @@ impl Sim {
     }
 
     /// Elaborate and instantiate with an explicit execution engine and
-    /// explicit engine tuning (fusion on/off, parallel partitioning).
+    /// explicit engine tuning (fusion, adaptive sweeps, dispatch).
     pub fn try_with_config(
         design: &Design,
         mode: ExecMode,
@@ -118,26 +122,9 @@ impl Sim {
             }
         }
 
-        // Pre-lowering netlist optimization (compiled mode only — the
-        // interpreter oracle always walks the elaborated tree verbatim).
-        // The rewritten graph keeps the source index space: folded nodes
-        // carry the value they always had and aliased-away duplicates keep
-        // their definitions, so signal handles, probes and `poke` targets
-        // all stay valid; dead nodes are only *excluded from the schedule*
-        // below (and recomputed on demand if probed).
-        let run_netopt = config.netopt && mode == ExecMode::Compiled;
-        let (nodes, write_ports, dead, netopt_ledger) = if run_netopt {
-            let opt = crate::nir::optimize_for_lowering(design);
-            (opt.nodes, opt.write_ports, opt.dead, Some(opt.ledger))
-        } else {
-            (
-                design.nodes.clone(),
-                design.write_ports.clone(),
-                vec![false; design.nodes.len()],
-                None,
-            )
-        };
-
+        // Both engines run the netlist exactly as elaborated.
+        let nodes = design.nodes.clone();
+        let write_ports = design.write_ports.clone();
         let n = nodes.len();
         let is_state =
             |node: &Node| matches!(node, Node::Reg { .. } | Node::ReadPort { sync: true, .. });
@@ -181,11 +168,6 @@ impl Sim {
                 .collect();
             return Err(ChdlError::CombinationalLoop { nodes: stuck });
         }
-        // Gates the netopt liveness pass eliminated never enter the
-        // evaluation schedule (the loop check above still ran over the
-        // full graph, so raw combinational loops are reported even in
-        // cones netopt would discard).
-        order.retain(|&i| !dead[i as usize]);
 
         let state_nodes: Vec<u32> = (0..n as u32)
             .filter(|&i| is_state(&nodes[i as usize]))
@@ -219,7 +201,7 @@ impl Sim {
             protected[i as usize] = true;
         }
 
-        let mut engine = match mode {
+        let engine = match mode {
             ExecMode::Compiled => Some(CompiledEngine::compile(
                 &nodes,
                 &order,
@@ -231,15 +213,6 @@ impl Sim {
             )),
             ExecMode::Interpreted => None,
         };
-        if let (Some(e), Some(ledger)) = (engine.as_mut(), &netopt_ledger) {
-            let s = e.stats_mut();
-            s.netopt_nodes_before = ledger.nodes_before;
-            s.netopt_nodes_after = ledger.nodes_after;
-            s.netopt_consts_folded = ledger.consts_folded;
-            s.netopt_subexprs_shared = ledger.subexprs_shared;
-            s.netopt_dead_gates = ledger.dead_gates;
-            s.netopt_iterations = ledger.iterations;
-        }
         // Ops the peephole folded away are pre-seeded like elaborated
         // constants; their producing ops no longer exist in the stream.
         if let Some(e) = &engine {
@@ -595,7 +568,8 @@ impl Sim {
     }
 
     /// Full compile-time stream statistics — ops before/after fusion,
-    /// peephole counters, the superop histogram and the partition count —
+    /// peephole counters, the superop and opcode histograms, the dispatch
+    /// ledger —
     /// or `None` in interpreter mode. Benches serialize these so fusion
     /// rates are tracked over time.
     pub fn engine_stats(&self) -> Option<&EngineStats> {
@@ -621,9 +595,7 @@ impl Sim {
         assert!(lanes > 0, "a lane group needs at least one lane");
         // Same protected set and config as our own engine, so the lane
         // group's stream fuses identically (bit-exact with the scalar
-        // engine by construction). Netopt already ran when this sim was
-        // built — `self.nodes` / `self.order` / `self.write_ports` are the
-        // optimized graph — so lanes inherit the smaller stream for free.
+        // engine by construction).
         let mut protected = vec![false; self.nodes.len()];
         for sig in self.names.values() {
             protected[sig.node as usize] = true;
@@ -1239,17 +1211,7 @@ mod tests {
     #[test]
     fn fusion_fires_and_respects_level_boundaries() {
         let d = fusion_playground();
-        // Netopt off: this test exercises the engine-level peepholes and
-        // fusion patterns in isolation, which need the raw micro-op stream
-        // (netlist-level folding would starve the const peephole).
-        let sim = Sim::with_config(
-            &d,
-            ExecMode::Compiled,
-            EngineConfig {
-                netopt: false,
-                ..EngineConfig::default()
-            },
-        );
+        let sim = Sim::new(&d);
         let stats = sim.engine_stats().unwrap().clone();
         assert!(stats.ops_fused > 0, "no superops formed: {stats:?}");
         assert!(stats.consts_folded > 0, "const peephole idle: {stats:?}");
@@ -1276,21 +1238,24 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_partitioned_match_unfused_serial() {
+    fn fused_and_adaptive_match_unfused_serial() {
         let d = fusion_playground();
         let configs = [
             EngineConfig::default(),
             EngineConfig::serial(),
             EngineConfig::unfused(),
             EngineConfig {
-                fuse: true,
-                parallel: crate::ParallelEval::Force(3),
-                dispatch: crate::DispatchMode::Auto,
+                adaptive: true,
+                dispatch: crate::DispatchMode::Match,
                 ..EngineConfig::default()
             },
             EngineConfig {
-                fuse: true,
-                parallel: crate::ParallelEval::Off,
+                adaptive: true,
+                dispatch: crate::DispatchMode::Threaded,
+                ..EngineConfig::default()
+            },
+            EngineConfig {
+                adaptive: false,
                 dispatch: crate::DispatchMode::Threaded,
                 ..EngineConfig::default()
             },

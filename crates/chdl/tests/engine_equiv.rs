@@ -17,7 +17,7 @@ mod netgen;
 
 use atlantis_chdl::prelude::*;
 use atlantis_chdl::sim::ExecMode;
-use atlantis_chdl::{DispatchMode, EngineConfig, ParallelEval};
+use atlantis_chdl::{DispatchMode, EngineConfig};
 use netgen::{build_design, build_design_with_chain, XorShift, MEM_WORDS, N_INPUTS};
 use proptest::prelude::*;
 
@@ -84,13 +84,13 @@ proptest! {
         }
     }
 
-    /// Fused-vs-unfused, partitioned-vs-serial and threaded-vs-match
+    /// Fused-vs-unfused, adaptive-vs-per-op and threaded-vs-match
     /// co-simulation on netlists with deep combinational chains and
     /// memory traffic. Every engine tuning must be bit-exact with the
     /// interpreter oracle, and the deep chain guarantees the fusion pass
     /// actually fires.
     #[test]
-    fn fused_and_partitioned_equivalence(
+    fn fused_and_adaptive_equivalence(
         recipes in proptest::collection::vec(
             (any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>()), 8..24),
         depth in 64usize..160,
@@ -100,40 +100,33 @@ proptest! {
 
         let mut oracle = Sim::with_mode(&design, ExecMode::Interpreted);
         let configs = [
-            EngineConfig::default(),                 // fused, auto partitioning + dispatch
-            EngineConfig::unfused(),                 // raw stream, serial, match
+            EngineConfig::default(),                 // fused, adaptive, auto dispatch
+            EngineConfig::unfused(),                 // raw stream, per-op, match
             EngineConfig {
-                fuse: true,
-                parallel: ParallelEval::Force(4),
-                dispatch: DispatchMode::Match,       // partitioned match dispatch
+                adaptive: true,
+                dispatch: DispatchMode::Match,       // adaptive sweeps, match dispatch
+                ..EngineConfig::default()
+            },
+            EngineConfig {
+                adaptive: true,
+                dispatch: DispatchMode::Threaded,    // adaptive sweeps, closure chains
                 ..EngineConfig::default()
             },
             EngineConfig {
                 fuse: false,
-                parallel: ParallelEval::Force(2),
-                dispatch: DispatchMode::Threaded,    // partitioned threaded, raw stream
+                adaptive: true,
+                dispatch: DispatchMode::Threaded,    // adaptive threaded, raw stream
+                ..EngineConfig::default()
+            },
+            EngineConfig::serial(),                  // per-op drain, match
+            EngineConfig {
+                adaptive: false,
+                dispatch: DispatchMode::Threaded,    // per-op drain, closure chains
                 ..EngineConfig::default()
             },
             EngineConfig {
-                fuse: true,
-                parallel: ParallelEval::Off,
-                dispatch: DispatchMode::Threaded,    // serial closure chains, fused
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                fuse: true,
-                parallel: ParallelEval::Off,
-                dispatch: DispatchMode::Match,       // serial match (the PR 6 engine)
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                netopt: false,                       // raw netlist, fused stream
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                netopt: false,                       // raw netlist, raw stream, threaded
-                fuse: false,
-                dispatch: DispatchMode::Threaded,
+                adaptive: false,
+                dispatch: DispatchMode::Auto,        // per-op drain, auto dispatch
                 ..EngineConfig::default()
             },
             EngineConfig {

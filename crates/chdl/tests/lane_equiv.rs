@@ -21,24 +21,27 @@ proptest! {
             (any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>()), 8..40),
         seed in any::<u64>(),
         lanes in 1usize..12,
+        adaptive in any::<bool>(),
     ) {
         let (design, outputs) = build_design(&recipes);
         let mem = design.find_memory("m").unwrap();
 
-        let mut scalars: Vec<Sim> = (0..lanes).map(|_| Sim::new(&design)).collect();
+        // The scalars run the opposite sweep policy to the group, so the
+        // two sides never share an adaptive-sweep path.
+        let scalar_config = EngineConfig { adaptive: !adaptive, ..EngineConfig::default() };
+        let mut scalars: Vec<Sim> = (0..lanes)
+            .map(|_| Sim::with_config(&design, ExecMode::Compiled, scalar_config))
+            .collect();
         // Force the group onto the threaded lane closures (these netlists
         // can sit below the Auto threshold) while the scalars keep the
         // default dispatch: the per-lane pokes below then exercise the
         // lane-program invalidation path against an independent engine.
-        // Netopt stays off in the group, so the laned raw stream is
-        // checked against netopt-optimized scalars (the optimizer's own
-        // laned path is covered in `netopt_equiv.rs`).
         let mut group = Sim::with_config(
             &design,
             ExecMode::Compiled,
             EngineConfig {
+                adaptive,
                 dispatch: DispatchMode::Threaded,
-                netopt: false,
                 ..EngineConfig::default()
             },
         )

@@ -40,7 +40,7 @@ pub fn build_design(recipes: &[Recipe]) -> (Design, Vec<String>) {
 /// Like [`build_design`], then grow a deep combinational chain of `depth`
 /// ops from the pool, exposed as `chain_out`. The chain drives level
 /// counts far past the recipe mix alone, exercising the engines'
-/// dense/cascade sweeps and partitioned evaluation, and its op→op runs
+/// dense/cascade sweeps and steady-state sweep mode, and its op→op runs
 /// (NOT→AND, const sides, slice/concat re-packs) give the fusion pass
 /// real absorption targets in a randomized setting.
 #[allow(dead_code)] // each equivalence suite uses its own subset of netgen

@@ -2,21 +2,20 @@
 //!
 //! Randomized netlists — the shared `netgen` generator plus deliberately
 //! redundant shapes (dead cones, duplicated subexpressions, constant
-//! cones, identity chains, `dont_touch` pins) — are co-simulated with the
-//! optimizer **on** against the optimizer **off** and the interpreter
-//! oracle, across the engine configuration matrix (fused/unfused ×
-//! match/threaded × serial/partitioned × lanes). Every configuration must
-//! be bit-exact on every output every cycle, and final memory contents
-//! must agree word for word.
+//! cones, identity chains, `dont_touch` pins) — are co-simulated as
+//! elaborated and as [`Design::optimized`] returns them, against the
+//! interpreter oracle and a lane group forked from the optimized sim.
+//! Every simulation must be bit-exact on every output every cycle, and
+//! final memory contents must agree word for word.
 //!
-//! The standalone pipeline is additionally checked for the structural
+//! The pipeline is additionally checked for the structural
 //! guarantees simulation alone cannot see: `dont_touch` nodes survive
 //! every pass, top-level I/O ports keep their names, widths and order,
 //! and the pipeline is idempotent at its fixed point (a second run
 //! applies zero rewrites and re-exports a byte-identical netlist).
 //!
 //! The unit tests at the end pin [`Design::optimized`] — the one-call
-//! standalone pipeline — on hand-built shapes: folding, identities,
+//! pipeline — on hand-built shapes: folding, identities,
 //! sharing, dead logic, memories, state, pins, and the binding of outputs
 //! and labels through aliases.
 
@@ -24,7 +23,7 @@ mod netgen;
 
 use atlantis_chdl::prelude::*;
 use atlantis_chdl::sim::ExecMode;
-use atlantis_chdl::{DispatchMode, EngineConfig, Nir, NirKind, ParallelEval, PassManager};
+use atlantis_chdl::{Nir, NirKind, PassManager};
 use atlantis_simcore::rng::WorkloadRng;
 use netgen::{build_design_with_redundancy, XorShift, N_INPUTS};
 use proptest::prelude::*;
@@ -32,8 +31,9 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Optimizer-on vs optimizer-off vs interpreter, across the engine
-    /// matrix plus a 2-lane group forked from the optimized sim.
+    /// The raw design, its optimized copy and a 2-lane group forked from
+    /// the optimized sim, co-simulated against the interpreter on the same
+    /// stimulus: every output every cycle, then final memory contents.
     #[test]
     fn netopt_config_matrix_equivalence(
         recipes in proptest::collection::vec(
@@ -42,63 +42,45 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (design, outputs) = build_design_with_redundancy(&recipes, shapes);
+        let (optimized, _) = design.optimized();
         let mem = design.find_memory("m").unwrap();
+        let opt_mem = optimized.find_memory("m").unwrap();
 
         let mut oracle = Sim::with_mode(&design, ExecMode::Interpreted);
-        let configs = [
-            EngineConfig::default(),                  // netopt on, fused
-            EngineConfig { netopt: false, ..EngineConfig::default() },
-            EngineConfig { netopt: true, fuse: false, ..EngineConfig::default() },
-            EngineConfig {
-                netopt: true,
-                dispatch: DispatchMode::Threaded,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                netopt: true,
-                parallel: ParallelEval::Force(2),
-                dispatch: DispatchMode::Match,
-                ..EngineConfig::default()
-            },
-            EngineConfig::unfused(),                  // everything off
-        ];
-        let mut sims: Vec<Sim> = configs
-            .iter()
-            .map(|&c| Sim::with_config(&design, ExecMode::Compiled, c))
-            .collect();
+        let mut raw = Sim::new(&design);
+        let mut opt = Sim::new(&optimized);
 
         // The optimized stream must actually be smaller: the redundancy
         // shapes guarantee fold/share/dead targets exist.
-        let on = sims[0].engine_stats().unwrap().clone();
-        prop_assert!(on.netopt_nodes_after < on.netopt_nodes_before, "{on:?}");
-        let off = sims[1].engine_stats().unwrap().clone();
-        prop_assert!(on.ops_lowered < off.ops_lowered,
-            "netopt must lower fewer micro-ops: {} vs {}", on.ops_lowered, off.ops_lowered);
+        let (raw_ops, opt_ops) = (
+            raw.engine_stats().unwrap().ops_lowered,
+            opt.engine_stats().unwrap().ops_lowered,
+        );
+        prop_assert!(opt_ops < raw_ops,
+            "the optimized design must lower fewer micro-ops: {} vs {}", opt_ops, raw_ops);
 
         // A lane group forked from the optimized sim inherits its stream.
         let lanes = 2usize;
-        let mut group = sims[0].fork_lanes(lanes);
+        let mut group = opt.fork_lanes(lanes);
 
         let mut stim = XorShift(seed);
         for cycle in 0..200u32 {
             for i in 0..N_INPUTS {
                 let v = stim.next();
-                oracle.set(&format!("in{i}"), v);
-                for sim in &mut sims {
-                    sim.set(&format!("in{i}"), v);
-                }
+                let name = format!("in{i}");
+                oracle.set(&name, v);
+                raw.set(&name, v);
+                opt.set(&name, v);
                 for lane in 0..lanes {
-                    group.set(lane, &format!("in{i}"), v);
+                    group.set(lane, &name, v);
                 }
             }
             for name in &outputs {
                 let want = oracle.get(name);
-                for (k, sim) in sims.iter_mut().enumerate() {
-                    prop_assert_eq!(
-                        sim.get(name), want,
-                        "config {} vs oracle: {} cycle {}", k, name, cycle
-                    );
-                }
+                prop_assert_eq!(raw.get(name), want, "raw vs oracle: {} cycle {}", name, cycle);
+                prop_assert_eq!(
+                    opt.get(name), want, "optimized vs oracle: {} cycle {}", name, cycle
+                );
                 for lane in 0..lanes {
                     prop_assert_eq!(
                         group.get(lane, name), want,
@@ -107,38 +89,35 @@ proptest! {
                 }
             }
             oracle.step();
-            for sim in &mut sims {
-                sim.step();
-            }
+            raw.step();
+            opt.step();
             group.step();
         }
 
-        // Batch phase: fused dense sweeps over the optimized stream.
+        // Batch phase: fused dense sweeps over both streams.
         oracle.run(100);
-        for sim in &mut sims {
-            sim.run_batch(100);
-        }
+        raw.run_batch(100);
+        opt.run_batch(100);
         group.run_batch(100);
         for name in &outputs {
             let want = oracle.get(name);
-            for (k, sim) in sims.iter_mut().enumerate() {
-                prop_assert_eq!(sim.get(name), want, "post-batch config {}: {}", k, name);
-            }
+            prop_assert_eq!(raw.get(name), want, "post-batch raw: {}", name);
+            prop_assert_eq!(opt.get(name), want, "post-batch optimized: {}", name);
             for lane in 0..lanes {
                 prop_assert_eq!(group.get(lane, name), want, "post-batch lane {}: {}", lane, name);
             }
         }
-        for sim in &sims {
-            prop_assert_eq!(sim.dump_mem(mem), oracle.dump_mem(mem));
-        }
+        let want_mem = oracle.dump_mem(mem);
+        prop_assert_eq!(raw.dump_mem(mem), want_mem.clone());
+        prop_assert_eq!(opt.dump_mem(opt_mem), want_mem.clone());
         for lane in 0..lanes {
-            prop_assert_eq!(group.dump_mem(lane, mem), oracle.dump_mem(mem));
+            prop_assert_eq!(group.dump_mem(lane, opt_mem), want_mem.clone());
         }
     }
 
-    /// `dont_touch` nodes survive the aggressive standalone pipeline with
-    /// their kind intact — never folded to constants, never eliminated —
-    /// and pinned labels stay probe-able under the netopt-on engine.
+    /// `dont_touch` nodes survive the pipeline with their kind intact —
+    /// never folded to constants, never eliminated — and pinned labels
+    /// read the same on the raw and the optimized design.
     #[test]
     fn dont_touch_survives_all_passes(
         recipes in proptest::collection::vec(
@@ -165,30 +144,27 @@ proptest! {
         let surviving = (0..nir2.len() as u32).filter(|&i| nir2.is_dont_touch(i)).count();
         prop_assert_eq!(surviving, pinned.len());
 
-        // The pinned probes must read identically with the optimizer on
-        // and off (they are protected from both netopt and fusion).
+        // The pinned probes must read identically on the raw and the
+        // optimized design (they are protected from the passes and from
+        // fusion).
         let pins: Vec<String> = (0..shapes)
             .filter(|k| k % 5 == 4)
             .map(|k| format!("pin{k}"))
             .collect();
-        let mut on = Sim::new(&design);
-        let mut off = Sim::with_config(
-            &design,
-            ExecMode::Compiled,
-            EngineConfig { netopt: false, ..EngineConfig::default() },
-        );
+        let mut raw = Sim::new(&design);
+        let mut opt = Sim::new(&exported);
         let mut stim = XorShift(seed);
         for _ in 0..50 {
             for i in 0..N_INPUTS {
                 let v = stim.next();
-                on.set(&format!("in{i}"), v);
-                off.set(&format!("in{i}"), v);
+                raw.set(&format!("in{i}"), v);
+                opt.set(&format!("in{i}"), v);
             }
             for name in &pins {
-                prop_assert_eq!(on.get(name), off.get(name), "probe {}", name);
+                prop_assert_eq!(opt.get(name), raw.get(name), "probe {}", name);
             }
-            on.step();
-            off.step();
+            raw.step();
+            opt.step();
         }
     }
 
@@ -256,19 +232,15 @@ fn dead_cone_is_fully_eliminated() {
         .count();
     assert_eq!(live_ops, 1, "only the live adder survives");
 
-    // The compiled netopt-on sim agrees with the interpreter.
-    let mut sim = Sim::new(&d);
+    // The compiled sim of the exported design agrees with the interpreter
+    // on the original.
+    let mut sim = Sim::new(&out);
     let mut oracle = Sim::with_mode(&d, ExecMode::Interpreted);
     sim.set("x", 1234);
     sim.set("y", 4321);
     oracle.set("x", 1234);
     oracle.set("y", 4321);
     assert_eq!(sim.get("sum"), oracle.get("sum"));
-    let stats = sim.engine_stats().unwrap();
-    assert!(
-        stats.netopt_dead_gates >= 5,
-        "lowering pipeline must also drop the cone: {stats:?}"
-    );
 }
 
 // ---------------------------------------------------------------------

@@ -185,8 +185,8 @@ fn threaded_compile_ledger_is_independent_of_seed_and_run() {
     // dispatch config: stimulus values change *what flows through* the
     // compiled blocks but may not change how many blocks were built, how
     // many closures were specialized, or which tier each eval dispatched
-    // to. (Parallel partitioned sweeps run inside the shared rayon pool,
-    // so any scheduling leak into the counters would surface here too.)
+    // to. (The adaptive sweep heuristics switch paths on dirty density,
+    // so any stimulus leak into the counters would surface here too.)
     let base = compile_ledger_fingerprint(1);
     for seed in [1u64, 99, 42, 7] {
         let fp = compile_ledger_fingerprint(seed);
