@@ -11,7 +11,9 @@
 //! The laned engine executes one micro-op stream over
 //! structure-of-arrays lane state: instruction dispatch, dirty-queue
 //! bookkeeping, and consumer marking are paid once per op for all
-//! lanes, and the chunked inner lane loops auto-vectorize. Virtual time
+//! lanes, and the chunked inner lane loops auto-vectorize. Lane groups
+//! always dispatch per op through `match` (they ignore `DispatchMode`),
+//! so both sides of this bench run match dispatch. Virtual time
 //! is *unchanged* — lanes serialise in virtual time on the one physical
 //! device (`Fpga::run_lanes` charges `cycles × lanes`) — the win is
 //! host wall clock only, which is what this bench measures.
@@ -31,13 +33,13 @@ use std::time::Instant;
 
 const LANES: usize = 8;
 
-/// Both sides run match dispatch so the bench isolates the one variable
-/// it claims to measure: SoA lane batching amortizing per-op dispatch
-/// and bookkeeping across instances. Threaded dispatch (DESIGN.md §14)
-/// speeds the *scalar* baseline ~1.5x on this workload while the laned
-/// path — which already pays dispatch once per op for all lanes — gains
-/// almost nothing, so comparing at the default `Auto` tier would fold
-/// the dispatch-tier gain (measured in `chdl_fusion`) into this ratio.
+/// The scalar baseline runs match dispatch, the only dispatch a lane
+/// group has, so the bench isolates the one variable it claims to
+/// measure: SoA lane batching amortizing per-op dispatch and bookkeeping
+/// across instances. Threaded dispatch (DESIGN.md §14) speeds the
+/// *scalar* baseline ~1.5x on this workload, so comparing at the default
+/// `Auto` tier would fold that dispatch-tier gain (measured in
+/// `chdl_fusion`) into this ratio.
 fn lane_bench_sim(d: &Design) -> Sim {
     let config = EngineConfig {
         dispatch: DispatchMode::Match,

@@ -52,6 +52,8 @@
 //! match dispatch once, and the program is rebuilt at the end of that
 //! eval. A compile ledger (blocks built, closures specialized, compile
 //! time, dispatch mode taken per eval) is reported in [`EngineStats`].
+//! Threaded dispatch is a scalar-engine tier: lane groups always dispatch
+//! per op through the `match` path.
 //!
 //! The tree-walking interpreter in `sim.rs` is retained as the reference
 //! oracle (it shares the lowering and scalar-execution helpers below, so
@@ -204,6 +206,12 @@ fn repack_parts(c: u32) -> (u32, u32, u32, u64, u64) {
 // ---- public configuration & statistics -----------------------------------
 
 /// How the levelized micro-op stream is dispatched at eval time.
+///
+/// Applies to scalar [`Sim`](crate::Sim)s only. A
+/// [`LaneGroup`](crate::lanes::LaneGroup) ignores it and always dispatches
+/// per op through `match`: each op spends its time in its chunked lane
+/// loop, so compiling ops to closures saves nothing measurable (within 2%
+/// on an 8-lane TRT-scale stream).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
     /// Per-op `match` dispatch through the shared scalar-execution helper
@@ -300,12 +308,11 @@ pub struct EngineStats {
     /// Logic levels in the final stream.
     pub levels: usize,
     /// Threaded-dispatch compile passes run: the eager build at lowering
-    /// time plus every rebuild after a backdoor poke or lane-count change.
+    /// time plus every rebuild after a backdoor poke.
     pub compiles: usize,
     /// Straight-line per-level blocks built across all compiles.
     pub blocks_built: usize,
-    /// Per-op specialized closures built across all compiles (scalar and
-    /// laned programs both count).
+    /// Per-op specialized closures built across all compiles.
     pub closures_specialized: usize,
     /// Wall-clock nanoseconds spent building closure chains. The one
     /// non-deterministic ledger field — determinism fingerprints must
@@ -314,7 +321,8 @@ pub struct EngineStats {
     /// Evals that dispatched through a compiled threaded program.
     pub evals_threaded: u64,
     /// Evals that dispatched through the per-op `match` path (includes
-    /// the fallback eval right after a poke invalidates the program).
+    /// the fallback eval right after a poke invalidates the program, and
+    /// every laned eval).
     pub evals_match: u64,
     /// Final-stream population of each fused superop mnemonic.
     pub superops: Vec<(&'static str, usize)>,
@@ -586,11 +594,6 @@ type OpFn = Box<dyn Fn(&[u64], &[Vec<u64>]) -> u64 + Send + Sync>;
 /// loop, so the loop body is branch-free specialized code.
 type BlockFn = Box<dyn Fn(&mut ExecState) + Send + Sync>;
 
-/// One compiled laned op: runs the op's `LANE_CHUNK`-chunked inner loop
-/// across every lane with row offsets pre-scaled by the lane count,
-/// returning whether any lane's destination changed.
-type LaneOpFn = Box<dyn Fn(&mut LaneState) -> bool + Send + Sync>;
-
 /// The threaded program for one compiled stream: per-op closures for the
 /// incremental path, plus the dense sweep plan — ops of
 /// each level sorted by opcode and chained into *run blocks* (one
@@ -606,32 +609,19 @@ struct ThreadedProgram {
     run_start: Vec<u32>,
 }
 
-/// The threaded program for the lane path, specialized to one lane count
-/// (row offsets `node * lanes` are captured constants, so a group forked
-/// with a different width forces a rebuild).
-struct LaneProgram {
-    ops: Vec<LaneOpFn>,
-    lanes: usize,
-}
+/// Cache slot for the compiled scalar program. Cloning an engine (design
+/// forks) drops the program — the clone rebuilds on its next eval — and
+/// `Debug` prints only presence, keeping `CompiledEngine`'s derives intact.
+#[derive(Default)]
+struct ProgramCache(Option<ThreadedProgram>);
 
-/// Cache slot for a compiled program. Cloning an engine (design forks)
-/// drops the program — the clone rebuilds on its next eval — and `Debug`
-/// prints only presence, keeping `CompiledEngine`'s derives intact.
-struct ProgramCache<P>(Option<P>);
-
-impl<P> Default for ProgramCache<P> {
-    fn default() -> Self {
-        ProgramCache(None)
-    }
-}
-
-impl<P> Clone for ProgramCache<P> {
+impl Clone for ProgramCache {
     fn clone(&self) -> Self {
         ProgramCache(None)
     }
 }
 
-impl<P> std::fmt::Debug for ProgramCache<P> {
+impl std::fmt::Debug for ProgramCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("ProgramCache")
             .field(&self.0.is_some())
@@ -797,32 +787,6 @@ fn rn3(
     })
 }
 
-/// Build a one-operand laned closure (row offsets pre-scaled).
-fn ln1(d0: usize, a0: usize, f: impl Fn(u64) -> u64 + Send + Sync + 'static) -> LaneOpFn {
-    Box::new(move |st| lane_map1(&mut st.vals, d0, a0, st.lanes, &f))
-}
-
-/// Build a two-operand laned closure (row offsets pre-scaled).
-fn ln2(
-    d0: usize,
-    a0: usize,
-    b0: usize,
-    f: impl Fn(u64, u64) -> u64 + Send + Sync + 'static,
-) -> LaneOpFn {
-    Box::new(move |st| lane_map2(&mut st.vals, d0, a0, b0, st.lanes, &f))
-}
-
-/// Build a three-operand laned closure (row offsets pre-scaled).
-fn ln3(
-    d0: usize,
-    a0: usize,
-    b0: usize,
-    c0: usize,
-    f: impl Fn(u64, u64, u64) -> u64 + Send + Sync + 'static,
-) -> LaneOpFn {
-    Box::new(move |st| lane_map3(&mut st.vals, d0, a0, b0, c0, st.lanes, &f))
-}
-
 /// The lowered form of one design: micro-op stream, level sets, consumer
 /// adjacency and the state-commit plan. Operates on the `vals`/`mems`
 /// storage owned by `Sim`.
@@ -889,10 +853,7 @@ pub(crate) struct CompiledEngine {
     use_threaded: bool,
     /// Compiled scalar program (dropped by backdoor pokes and clones;
     /// rebuilt at the end of the next eval).
-    threaded: ProgramCache<ThreadedProgram>,
-    /// Compiled lane program (built lazily on the first laned eval, when
-    /// the lane count is known).
-    threaded_lanes: ProgramCache<LaneProgram>,
+    threaded: ProgramCache,
 
     // ---- observability ----
     /// Whether `vals[node]` is kept current by the engine (sources, state,
@@ -1081,7 +1042,6 @@ impl CompiledEngine {
             sweep_left: 0,
             use_threaded: false,
             threaded: ProgramCache::default(),
-            threaded_lanes: ProgramCache::default(),
             computed: Vec::new(),
             folded,
             stats,
@@ -1738,143 +1698,6 @@ impl CompiledEngine {
         })
     }
 
-    /// Specialize op `i` for the lane path: the `LANE_CHUNK`-chunked inner
-    /// loop is captured with destination/operand row offsets pre-scaled by
-    /// `lanes`. Must mirror [`CompiledEngine::exec_op_lanes`] exactly.
-    fn compile_op_lanes(&self, i: usize, lanes: usize) -> LaneOpFn {
-        let d0 = self.op_dst[i] as usize * lanes;
-        let a0 = self.op_a[i] as usize * lanes;
-        let braw = self.op_b[i] as usize; // NONE for one-operand ops
-        let b0 = braw.wrapping_mul(lanes);
-        let c0 = (self.op_c[i] as usize).wrapping_mul(lanes);
-        let c = self.op_c[i];
-        let imm = self.op_imm[i];
-        match self.op_code[i] {
-            OP_NOT => ln1(d0, a0, move |x| !x & imm),
-            OP_RED_AND => ln1(d0, a0, move |x| u64::from(x == imm)),
-            OP_RED_OR => ln1(d0, a0, |x| u64::from(x != 0)),
-            OP_RED_XOR => ln1(d0, a0, |x| u64::from(x.count_ones() & 1 == 1)),
-            OP_AND => ln2(d0, a0, b0, |x, y| x & y),
-            OP_OR => ln2(d0, a0, b0, |x, y| x | y),
-            OP_XOR => ln2(d0, a0, b0, |x, y| x ^ y),
-            OP_ADD => ln2(d0, a0, b0, move |x, y| x.wrapping_add(y) & imm),
-            OP_SUB => ln2(d0, a0, b0, move |x, y| x.wrapping_sub(y) & imm),
-            OP_MUL => ln2(d0, a0, b0, move |x, y| x.wrapping_mul(y) & imm),
-            OP_EQ => ln2(d0, a0, b0, |x, y| u64::from(x == y)),
-            OP_NE => ln2(d0, a0, b0, |x, y| u64::from(x != y)),
-            OP_LT => ln2(d0, a0, b0, |x, y| u64::from(x < y)),
-            OP_LE => ln2(d0, a0, b0, |x, y| u64::from(x <= y)),
-            OP_SHL => {
-                let w = c as u64;
-                ln2(
-                    d0,
-                    a0,
-                    b0,
-                    move |x, sh| if sh >= w { 0 } else { (x << sh) & imm },
-                )
-            }
-            OP_SHR => {
-                let w = c as u64;
-                ln2(d0, a0, b0, move |x, sh| if sh >= w { 0 } else { x >> sh })
-            }
-            OP_MUX => ln3(d0, a0, b0, c0, |s, t, f| if s != 0 { t } else { f }),
-            OP_SLICE => ln1(d0, a0, move |x| (x >> c) & imm),
-            OP_CONCAT => ln2(d0, a0, b0, move |hi, lo| (hi << c) | lo),
-            OP_READ_ASYNC => {
-                let m = c as usize;
-                Box::new(move |st| {
-                    let words = st.mem_words[m];
-                    let bank = &st.mems[m];
-                    let mut diff = 0u64;
-                    for l in 0..st.lanes {
-                        let addr = st.vals[a0 + l] as usize;
-                        let v = if addr < words {
-                            bank[l * words + addr]
-                        } else {
-                            0
-                        };
-                        diff |= v ^ st.vals[d0 + l];
-                        st.vals[d0 + l] = v;
-                    }
-                    diff != 0
-                })
-            }
-            OP_NAND => ln2(d0, a0, b0, move |x, y| !(x & y) & imm),
-            OP_NOR => ln2(d0, a0, b0, move |x, y| !(x | y) & imm),
-            OP_XNOR => ln2(d0, a0, b0, move |x, y| !(x ^ y) & imm),
-            OP_ANDN => ln2(d0, a0, b0, move |x, y| x & !y & imm),
-            OP_AND3 => ln3(d0, a0, b0, c0, |x, y, z| x & y & z),
-            OP_OR3 => ln3(d0, a0, b0, c0, |x, y, z| x | y | z),
-            OP_XOR3 => ln3(d0, a0, b0, c0, |x, y, z| x ^ y ^ z),
-            OP_AND_IMM => ln1(d0, a0, move |x| x & imm),
-            OP_OR_IMM => ln1(d0, a0, move |x| x | imm),
-            OP_XOR_IMM => ln1(d0, a0, move |x| x ^ imm),
-            OP_ADD_IMM => {
-                let m = mask64(c);
-                ln1(d0, a0, move |x| x.wrapping_add(imm) & m)
-            }
-            OP_EQ_IMM => ln1(d0, a0, move |x| u64::from(x == imm)),
-            OP_NE_IMM => ln1(d0, a0, move |x| u64::from(x != imm)),
-            OP_MUX_EQI => ln3(d0, a0, b0, c0, move |s, t, f| if s == imm { t } else { f }),
-            OP_SHL_IMM => ln1(d0, a0, move |x| (x << c) & imm),
-            OP_REPACK => {
-                let (l1, l2, w2, m1, m2) = repack_parts(c);
-                ln2(d0, a0, b0, move |x, y| {
-                    (((x >> l1) & m1) << w2) | ((y >> l2) & m2)
-                })
-            }
-            OP_MUX_BIT => ln3(
-                d0,
-                a0,
-                b0,
-                c0,
-                move |s, t, f| {
-                    if (s >> imm) & 1 != 0 {
-                        t
-                    } else {
-                        f
-                    }
-                },
-            ),
-            OP_ANDSHR => ln2(d0, a0, b0, move |x, y| x & ((y >> c) & imm)),
-            OP_CAT3 => {
-                let (s1, s2) = (imm & 0xff, (imm >> 8) & 0xff);
-                ln3(d0, a0, b0, c0, move |x, y, z| (((x << s1) | y) << s2) | z)
-            }
-            OP_INC_IF => {
-                let m = mask64(c);
-                ln2(d0, a0, b0, move |en, q| {
-                    if en != 0 {
-                        q.wrapping_add(imm) & m
-                    } else {
-                        q
-                    }
-                })
-            }
-            OP_SELECT => {
-                // Per-lane table gather with the leaf rows pre-scaled to
-                // row offsets (`leaf * lanes`) in a captured table.
-                let start = c as usize;
-                let tab: Vec<usize> = self.sel_tab[start..start + imm as usize + 1]
-                    .iter()
-                    .map(|&leaf| leaf as usize * lanes)
-                    .collect();
-                let sh = braw as u32;
-                Box::new(move |st| {
-                    let mut diff = 0u64;
-                    for l in 0..st.lanes {
-                        let idx = ((st.vals[a0 + l] >> sh) & imm) as usize;
-                        let v = st.vals[tab[idx] + l];
-                        diff |= v ^ st.vals[d0 + l];
-                        st.vals[d0 + l] = v;
-                    }
-                    diff != 0
-                })
-            }
-            _ => unreachable!("invalid opcode"),
-        }
-    }
-
     /// Build (or rebuild, after a backdoor poke or clone) the scalar
     /// threaded program: one specialized closure per op for the
     /// incremental path, plus the dense sweep plan — each
@@ -1943,30 +1766,15 @@ impl CompiledEngine {
         }));
     }
 
-    /// Build (or rebuild) the lane program for `lanes` instances. Runs
-    /// lazily on the first laned eval — the lane count is unknown at
-    /// compile time — and again whenever the group width changes.
-    fn rebuild_threaded_lanes(&mut self, lanes: usize) {
-        let t0 = std::time::Instant::now();
-        let ops: Vec<LaneOpFn> = (0..self.op_code.len())
-            .map(|i| self.compile_op_lanes(i, lanes))
-            .collect();
-        self.stats.compiles += 1;
-        self.stats.closures_specialized += ops.len();
-        self.stats.compile_ns += t0.elapsed().as_nanos() as u64;
-        self.threaded_lanes = ProgramCache(Some(LaneProgram { ops, lanes }));
-    }
-
     /// Backdoor-poke invalidation: mark the memory's read cone dirty *and*
-    /// drop any compiled program. The contract is conservative — the next
-    /// eval runs match dispatch once, then rebuilds — which keeps poked
-    /// state and compiled state trivially coherent. Cycle-path memory
-    /// writes ([`CompiledEngine::apply_writes`]) go through
+    /// drop the compiled scalar program. The contract is conservative —
+    /// the next eval runs match dispatch once, then rebuilds — which keeps
+    /// poked state and compiled state trivially coherent. Cycle-path
+    /// memory writes ([`CompiledEngine::apply_writes`]) go through
     /// [`CompiledEngine::mark_mem_dirty`] directly and never invalidate.
     pub(crate) fn poke_invalidate(&mut self, mem: u32) {
         self.mark_mem_dirty(mem);
         self.threaded = ProgramCache(None);
-        self.threaded_lanes = ProgramCache(None);
     }
 
     /// Visit the value-operand node indices of op `i` (for `OP_SELECT`,
@@ -2523,7 +2331,10 @@ impl CompiledEngine {
     // to SIMD.
     //
     // The laned paths run the *same fused stream* as the scalar engine and
-    // honor the same adaptive dense/cascade heuristics.
+    // honor the same adaptive dense/cascade heuristics. They dispatch per
+    // op through `exec_op_lanes` whatever the `DispatchMode`: each op
+    // spends its time in the chunked lane loop, next to which the
+    // per-op `match` is noise.
 
     /// Execute op `i` across every lane. Returns whether any lane's
     /// destination value changed.
@@ -2730,51 +2541,16 @@ impl CompiledEngine {
     /// Laned [`CompiledEngine::eval`]: settle combinational values for
     /// every lane, draining the shared dirty queues once for all lanes.
     /// Honors the same adaptive dense/cascade heuristics as the scalar
-    /// path, executed serially (bit-exact by construction).
-    ///
-    /// Threaded dispatch follows the scalar take/put-back pattern, with
-    /// one twist: the lane program captures `node * lanes` row offsets, so
-    /// it is built lazily on the first laned eval (the lane count is
-    /// unknown at compile time) and rebuilt if the group width changes.
+    /// path, executed serially (bit-exact by construction). Every laned
+    /// eval counts as match dispatch in [`EngineStats`].
     pub(crate) fn eval_lanes(&mut self, st: &mut LaneState) {
         if !self.full_dirty && !self.any_dirty {
             return;
         }
-        if self
-            .threaded_lanes
-            .0
-            .as_ref()
-            .is_some_and(|p| p.lanes != st.lanes)
-        {
-            self.threaded_lanes = ProgramCache(None);
-        }
-        let prog = self.threaded_lanes.0.take();
-        match prog.as_ref() {
-            Some(_) => self.stats.evals_threaded += 1,
-            None => self.stats.evals_match += 1,
-        }
-        self.eval_lanes_inner(prog.as_ref(), st);
-        self.threaded_lanes.0 = prog;
-        if self.use_threaded && self.threaded_lanes.0.is_none() {
-            self.rebuild_threaded_lanes(st.lanes);
-        }
-    }
-
-    /// Compute op `i` across all lanes through the active dispatch
-    /// backend; returns whether any lane's destination changed.
-    #[inline(always)]
-    fn compute_op_lanes(&self, prog: Option<&LaneProgram>, i: usize, st: &mut LaneState) -> bool {
-        match prog {
-            Some(p) => (p.ops[i])(st),
-            None => self.exec_op_lanes(i, st),
-        }
-    }
-
-    /// The laned eval body, parameterized over the dispatch backend.
-    fn eval_lanes_inner(&mut self, prog: Option<&LaneProgram>, st: &mut LaneState) {
+        self.stats.evals_match += 1;
         if self.full_dirty {
             for i in 0..self.op_code.len() {
-                self.compute_op_lanes(prog, i, st);
+                self.exec_op_lanes(i, st);
             }
             self.full_dirty = false;
             self.reset_dirty();
@@ -2783,7 +2559,7 @@ impl CompiledEngine {
         }
         if self.streaming {
             for i in 0..self.op_code.len() {
-                self.compute_op_lanes(prog, i, st);
+                self.exec_op_lanes(i, st);
             }
             self.reset_dirty();
             self.sweep_first = self.level_queues.len() as u32;
@@ -2791,7 +2567,7 @@ impl CompiledEngine {
         }
         if self.sweep_mode {
             for op in self.level_start[self.sweep_first as usize] as usize..self.op_code.len() {
-                self.compute_op_lanes(prog, op, st);
+                self.exec_op_lanes(op, st);
             }
             self.sweep_first = self.level_queues.len() as u32;
             self.any_dirty = false;
@@ -2804,7 +2580,7 @@ impl CompiledEngine {
         }
         if !self.adaptive {
             for lvl in 0..self.level_queues.len() {
-                self.drain_level_lanes(prog, lvl, st);
+                self.drain_level_lanes(lvl, st);
             }
             self.any_dirty = false;
             return;
@@ -2824,7 +2600,7 @@ impl CompiledEngine {
             let rest = self.op_code.len() - self.level_start[first_dirty] as usize;
             if queued_total * SWEEP_DENSITY >= rest {
                 for op in self.level_start[first_dirty] as usize..self.op_code.len() {
-                    self.compute_op_lanes(prog, op, st);
+                    self.exec_op_lanes(op, st);
                 }
                 self.reset_dirty();
                 self.sweep_streak += 1;
@@ -2858,18 +2634,18 @@ impl CompiledEngine {
                 queue.clear();
                 self.level_queues[lvl] = queue;
                 for op in lo..hi {
-                    if self.compute_op_lanes(prog, op, st) {
+                    if self.exec_op_lanes(op, st) {
                         self.mark_node_dirty(self.op_dst[op]);
                     }
                 }
             } else {
-                self.drain_level_lanes(prog, lvl, st);
+                self.drain_level_lanes(lvl, st);
             }
         }
         match cascade_from {
             Some(from) => {
                 for op in self.level_start[from] as usize..self.op_code.len() {
-                    self.compute_op_lanes(prog, op, st);
+                    self.exec_op_lanes(op, st);
                 }
                 self.reset_dirty();
             }
@@ -2878,12 +2654,12 @@ impl CompiledEngine {
     }
 
     /// Drain one level's dirty queue across all lanes.
-    fn drain_level_lanes(&mut self, prog: Option<&LaneProgram>, lvl: usize, st: &mut LaneState) {
+    fn drain_level_lanes(&mut self, lvl: usize, st: &mut LaneState) {
         let mut queue = std::mem::take(&mut self.level_queues[lvl]);
         for &op32 in &queue {
             let op = op32 as usize;
             self.op_dirty[op] = false;
-            if self.compute_op_lanes(prog, op, st) {
+            if self.exec_op_lanes(op, st) {
                 self.mark_node_dirty(self.op_dst[op]);
             }
         }

@@ -244,8 +244,9 @@ impl LaneGroup {
         let slot = &mut self.state.mems[m][lane * words + addr];
         if *slot != value {
             *slot = value;
-            // Backdoor pokes also invalidate any compiled lane program.
-            self.engine.poke_invalidate(mem.0);
+            // No compiled program to drop on the lane path: re-evaluating
+            // the memory's read cone is the whole invalidation.
+            self.engine.mark_mem_dirty(mem.0);
         }
     }
 
@@ -260,7 +261,7 @@ impl LaneGroup {
         let n = contents.len().min(words);
         let base = lane * words;
         self.state.mems[m][base..base + n].copy_from_slice(&contents[..n]);
-        self.engine.poke_invalidate(mem.0);
+        self.engine.mark_mem_dirty(mem.0);
     }
 
     /// Snapshot one lane's memory bank (for read-back comparisons).

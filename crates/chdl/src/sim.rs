@@ -591,6 +591,10 @@ impl Sim {
     /// independently from there under per-lane inputs. The fork is
     /// non-destructive (`&self`); the group compiles its own micro-op
     /// stream, so it works from either execution mode.
+    ///
+    /// The group inherits this simulator's [`EngineConfig`] except
+    /// [`DispatchMode`](crate::DispatchMode): lanes always dispatch per op,
+    /// so no threaded program is built for them.
     pub fn fork_lanes(&self, lanes: usize) -> LaneGroup {
         assert!(lanes > 0, "a lane group needs at least one lane");
         // Same protected set and config as our own engine, so the lane
@@ -610,7 +614,10 @@ impl Sim {
             &self.write_ports,
             self.mems.len(),
             &protected,
-            self.config,
+            EngineConfig {
+                dispatch: crate::DispatchMode::Match,
+                ..self.config
+            },
         );
         let n = self.nodes.len();
         let mut vals = vec![0u64; n * lanes];

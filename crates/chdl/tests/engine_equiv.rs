@@ -18,8 +18,57 @@ mod netgen;
 use atlantis_chdl::prelude::*;
 use atlantis_chdl::sim::ExecMode;
 use atlantis_chdl::{DispatchMode, EngineConfig};
-use netgen::{build_design, build_design_with_chain, XorShift, MEM_WORDS, N_INPUTS};
+use netgen::{
+    build_design, build_design_with_chain, build_wide_design, wide_inputs, XorShift, MEM_WORDS,
+    N_INPUTS, WIDE_LEVELS, WIDE_SPAN, WIDE_TAIL,
+};
 use proptest::prelude::*;
+
+/// Every engine tuning the equivalence suites co-simulate against the
+/// interpreter: fusion, adaptive sweeps, dispatch backend and streaming.
+fn engine_matrix() -> [EngineConfig; 10] {
+    [
+        EngineConfig::default(), // fused, adaptive, auto dispatch
+        EngineConfig::unfused(), // raw stream, per-op, match
+        EngineConfig {
+            adaptive: true,
+            dispatch: DispatchMode::Match, // adaptive sweeps, match dispatch
+            ..EngineConfig::default()
+        },
+        EngineConfig {
+            adaptive: true,
+            dispatch: DispatchMode::Threaded, // adaptive sweeps, closure chains
+            ..EngineConfig::default()
+        },
+        EngineConfig {
+            fuse: false,
+            adaptive: true,
+            dispatch: DispatchMode::Threaded, // adaptive threaded, raw stream
+            ..EngineConfig::default()
+        },
+        EngineConfig::serial(), // per-op drain, match
+        EngineConfig {
+            adaptive: false,
+            dispatch: DispatchMode::Threaded, // per-op drain, closure chains
+            ..EngineConfig::default()
+        },
+        EngineConfig {
+            adaptive: false,
+            dispatch: DispatchMode::Auto, // per-op drain, auto dispatch
+            ..EngineConfig::default()
+        },
+        EngineConfig {
+            streaming: true, // pinned full-stream sweeps, match
+            dispatch: DispatchMode::Match,
+            ..EngineConfig::default()
+        },
+        EngineConfig {
+            streaming: true, // pinned full-stream sweeps, threaded
+            dispatch: DispatchMode::Threaded,
+            ..EngineConfig::default()
+        },
+    ]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -99,47 +148,7 @@ proptest! {
         let (design, outputs) = build_design_with_chain(&recipes, depth);
 
         let mut oracle = Sim::with_mode(&design, ExecMode::Interpreted);
-        let configs = [
-            EngineConfig::default(),                 // fused, adaptive, auto dispatch
-            EngineConfig::unfused(),                 // raw stream, per-op, match
-            EngineConfig {
-                adaptive: true,
-                dispatch: DispatchMode::Match,       // adaptive sweeps, match dispatch
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                adaptive: true,
-                dispatch: DispatchMode::Threaded,    // adaptive sweeps, closure chains
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                fuse: false,
-                adaptive: true,
-                dispatch: DispatchMode::Threaded,    // adaptive threaded, raw stream
-                ..EngineConfig::default()
-            },
-            EngineConfig::serial(),                  // per-op drain, match
-            EngineConfig {
-                adaptive: false,
-                dispatch: DispatchMode::Threaded,    // per-op drain, closure chains
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                adaptive: false,
-                dispatch: DispatchMode::Auto,        // per-op drain, auto dispatch
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                streaming: true,                     // pinned full-stream sweeps, match
-                dispatch: DispatchMode::Match,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                streaming: true,                     // pinned full-stream sweeps, threaded
-                dispatch: DispatchMode::Threaded,
-                ..EngineConfig::default()
-            },
-        ];
+        let configs = engine_matrix();
         let mut sims: Vec<Sim> = configs
             .iter()
             .map(|&c| Sim::with_config(&design, ExecMode::Compiled, c))
@@ -235,6 +244,57 @@ proptest! {
         }
         prop_assert_eq!(compiled.dump_mem(mem), oracle.dump_mem(mem));
         prop_assert_eq!(threaded.dump_mem(mem), oracle.dump_mem(mem));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The adaptive evaluator's wide-level branches — the cascade into a
+    /// straight-line sweep (a fully queued level of at least
+    /// `CASCADE_MIN_SPAN` ops) and the dense sweep with change marking (a
+    /// half-queued level of at least `DENSE_MIN_SPAN` ops) — fire on served
+    /// TRT events, but the random netlists above never build levels that
+    /// wide. The wide design reaches both every few cycles: each cycle
+    /// changes a random subset of its inputs, queueing half or all of a
+    /// 160-op level. Every engine tuning must match the interpreter.
+    #[test]
+    fn wide_level_sweeps_match_the_oracle(seed in any::<u64>()) {
+        let (design, outputs) = build_wide_design();
+        let inputs = wide_inputs();
+        let mut oracle = Sim::with_mode(&design, ExecMode::Interpreted);
+        let mut sims: Vec<Sim> = engine_matrix()
+            .iter()
+            .map(|&c| Sim::with_config(&design, ExecMode::Compiled, c))
+            .collect();
+        // The shape the branches need: fusion merges nothing, so every
+        // level keeps exactly `WIDE_SPAN` ops.
+        let stats = sims[0].engine_stats().unwrap();
+        prop_assert_eq!(stats.ops_final, WIDE_SPAN * (WIDE_LEVELS + WIDE_TAIL));
+
+        let mut stim = XorShift(seed);
+        for cycle in 0..200u32 {
+            // Each input changes with probability 1/4.
+            let changed = stim.next() & stim.next();
+            for (bit, name) in inputs.iter().enumerate() {
+                if changed >> bit & 1 == 1 {
+                    let v = stim.next();
+                    oracle.set(name, v);
+                    for sim in &mut sims {
+                        sim.set(name, v);
+                    }
+                }
+            }
+            for name in &outputs {
+                let want = oracle.get(name);
+                for (k, sim) in sims.iter_mut().enumerate() {
+                    prop_assert_eq!(
+                        sim.get(name), want,
+                        "config {} vs oracle: {} cycle {}", k, name, cycle
+                    );
+                }
+            }
+        }
     }
 }
 

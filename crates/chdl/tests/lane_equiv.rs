@@ -8,8 +8,11 @@ mod netgen;
 
 use atlantis_chdl::prelude::*;
 use atlantis_chdl::sim::ExecMode;
-use atlantis_chdl::{DispatchMode, EngineConfig};
-use netgen::{build_design, build_design_with_chain, XorShift, MEM_WORDS, N_INPUTS};
+use atlantis_chdl::EngineConfig;
+use netgen::{
+    build_design, build_design_with_chain, build_wide_design, wide_inputs, XorShift, MEM_WORDS,
+    N_INPUTS,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -32,18 +35,10 @@ proptest! {
         let mut scalars: Vec<Sim> = (0..lanes)
             .map(|_| Sim::with_config(&design, ExecMode::Compiled, scalar_config))
             .collect();
-        // Force the group onto the threaded lane closures (these netlists
-        // can sit below the Auto threshold) while the scalars keep the
-        // default dispatch: the per-lane pokes below then exercise the
-        // lane-program invalidation path against an independent engine.
         let mut group = Sim::with_config(
             &design,
             ExecMode::Compiled,
-            EngineConfig {
-                adaptive,
-                dispatch: DispatchMode::Threaded,
-                ..EngineConfig::default()
-            },
+            EngineConfig { adaptive, ..EngineConfig::default() },
         )
         .fork_lanes(lanes);
         prop_assert_eq!(group.lanes(), lanes);
@@ -193,6 +188,49 @@ proptest! {
                 );
             }
             prop_assert_eq!(group.dump_mem(lane, mem), scalar.dump_mem(mem));
+        }
+    }
+
+    /// The wide design drives the laned evaluator's cascade and
+    /// dense-with-mark sweeps, which the random netlists above never
+    /// reach. Every lane changes the same random subset of inputs each
+    /// cycle (dirty tracking is shared across lanes, so diverging subsets
+    /// would queue every level in full) to its own value, and must match
+    /// its scalar twin, which runs the opposite sweep policy.
+    #[test]
+    fn wide_level_sweeps_match_scalars(
+        seed in any::<u64>(),
+        lanes in 2usize..6,
+    ) {
+        let (design, outputs) = build_wide_design();
+        let inputs = wide_inputs();
+        let scalar_config = EngineConfig { adaptive: false, ..EngineConfig::default() };
+        let mut scalars: Vec<Sim> = (0..lanes)
+            .map(|_| Sim::with_config(&design, ExecMode::Compiled, scalar_config))
+            .collect();
+        let mut group = Sim::new(&design).fork_lanes(lanes);
+
+        let mut stim = XorShift(seed);
+        for cycle in 0..200u32 {
+            let changed = stim.next() & stim.next();
+            for (bit, name) in inputs.iter().enumerate() {
+                if changed >> bit & 1 == 1 {
+                    for (lane, scalar) in scalars.iter_mut().enumerate() {
+                        let v = stim.next();
+                        scalar.set(name, v);
+                        group.set(lane, name, v);
+                    }
+                }
+            }
+            for (lane, scalar) in scalars.iter_mut().enumerate() {
+                for name in &outputs {
+                    prop_assert_eq!(
+                        group.get(lane, name),
+                        scalar.get(name),
+                        "output {} lane {} cycle {}", name, lane, cycle
+                    );
+                }
+            }
         }
     }
 }

@@ -184,6 +184,78 @@ pub fn build_design_with_redundancy(recipes: &[Recipe], shapes: usize) -> (Desig
     (d, outputs)
 }
 
+/// Ops per level of [`build_wide_design`].
+#[allow(dead_code)] // each equivalence suite uses its own subset of netgen
+pub const WIDE_SPAN: usize = 160;
+/// Input-fed levels of [`build_wide_design`]; level `k` reads inputs
+/// `w{k}` (its first half) and `v{k}` (its second half).
+#[allow(dead_code)] // each equivalence suite uses its own subset of netgen
+pub const WIDE_LEVELS: usize = 4;
+/// Levels of neighbour-mixing tail behind the input-fed levels.
+#[allow(dead_code)] // each equivalence suite uses its own subset of netgen
+pub const WIDE_TAIL: usize = 12;
+
+/// A design built for the adaptive evaluator's wide-level branches:
+/// [`WIDE_LEVELS`] input-fed levels, then a [`WIDE_TAIL`]-level tail, every
+/// level exactly [`WIDE_SPAN`] ops wide. Column `i` of input level `k`
+/// combines column `i` of level `k - 1` with `w{k}` (first half) or `v{k}`
+/// (second half), so changing one input queues half a level (the dense
+/// sweep) and changing both queues all of it (the cascade). Each tail op
+/// mixes its column with the next one, so a change widens by one column
+/// per level. The tail keeps the stream behind any input level over three
+/// times the 160 ops two inputs can queue there, so the global density
+/// escape never pre-empts the per-level branches. Ops alternate between
+/// ADD and XOR, which fusion never merges, and the last level is exposed
+/// as outputs `out{i}`.
+#[allow(dead_code)] // each equivalence suite uses its own subset of netgen
+pub fn build_wide_design() -> (Design, Vec<String>) {
+    let mut d = Design::new("wide");
+    let half = WIDE_SPAN / 2;
+    let mut cols: Vec<Signal> = Vec::new();
+    for k in 0..WIDE_LEVELS {
+        let w = d.input(format!("w{k}"), IN_WIDTH);
+        let v = d.input(format!("v{k}"), IN_WIDTH);
+        cols = (0..WIDE_SPAN)
+            .map(|i| {
+                let x = if i < half { w } else { v };
+                if k == 0 {
+                    let c = d.lit((i as u64).wrapping_mul(0x9E37) & 0xFFF, IN_WIDTH);
+                    d.add(x, c)
+                } else if k % 2 == 1 {
+                    d.xor(cols[i], x)
+                } else {
+                    d.add(cols[i], x)
+                }
+            })
+            .collect();
+    }
+    for t in 0..WIDE_TAIL {
+        cols = (0..WIDE_SPAN)
+            .map(|i| {
+                let next = cols[(i + 1) % WIDE_SPAN];
+                if t % 2 == 0 {
+                    d.add(cols[i], next)
+                } else {
+                    d.xor(cols[i], next)
+                }
+            })
+            .collect();
+    }
+    let outputs: Vec<String> = (0..WIDE_SPAN).map(|i| format!("out{i}")).collect();
+    for (name, &sig) in outputs.iter().zip(&cols) {
+        d.expose_output(name, sig);
+    }
+    (d, outputs)
+}
+
+/// The input ports of [`build_wide_design`], in level order.
+#[allow(dead_code)] // each equivalence suite uses its own subset of netgen
+pub fn wide_inputs() -> Vec<String> {
+    (0..WIDE_LEVELS)
+        .flat_map(|k| [format!("w{k}"), format!("v{k}")])
+        .collect()
+}
+
 fn build_pool(recipes: &[Recipe]) -> (Design, Vec<String>, Vec<Signal>) {
     let mut d = Design::new("generated");
     let mut pool: Vec<Signal> = (0..N_INPUTS)

@@ -37,7 +37,7 @@ pub struct GuardConfig {
     /// read-back against the golden image). `ZERO` disables them.
     pub scrub_interval: SimDuration,
     /// Run the configuration port's cheap frame-CRC scan every `N`
-    /// pipeline beats (serial mode: every `N` jobs). `0` disables it.
+    /// pipeline beats. `0` disables it.
     pub crc_every: u64,
     /// Re-execute every `N`-th job's result on the RISC host and vote
     /// against the FPGA's checksum — the detector of last resort for
@@ -119,7 +119,7 @@ pub(crate) struct GuardState {
     /// Injected-but-unrepaired upsets: (arrival time, stealthy).
     /// Mirrors the fabric's tracker for detection-latency accounting.
     pub pending: Vec<(SimDuration, bool)>,
-    /// Pipeline beats (serial: jobs) seen — the CRC scan cadence.
+    /// Pipeline beats seen — the CRC scan cadence.
     pub beats: u64,
     /// Jobs since the last re-execution vote.
     pub jobs_since_vote: u64,

@@ -20,6 +20,11 @@
 //! in a shared [`BitstreamCache`], so no job ever waits on the fitter
 //! after warm-up.
 //!
+//! Every worker serves through one three-stage pipeline that overlaps
+//! the payload DMA, the execution and the result DMA on the PLX9080's
+//! two channels (paper §2.1). [`RuntimeConfig::serial`] is the same path
+//! with no overlap, the baseline the pipeline is measured against.
+//!
 //! ```no_run
 //! use atlantis_core::AtlantisSystem;
 //! use atlantis_runtime::{JobRequest, Runtime, RuntimeConfig};
@@ -88,21 +93,21 @@ pub struct RuntimeConfig {
     /// A queued job skipped this many times is served next regardless
     /// of the loaded design (starvation bound).
     pub aging_limit: u32,
-    /// Serve through the three-stage software pipeline (prefetch /
-    /// execute / writeback on the PLX9080's two DMA channels) so DMA and
-    /// compute overlap. `false` serves each job end to end — the
-    /// baseline the pipeline is measured against.
-    pub pipeline: bool,
-    /// Timing model for overlapped phases on the board — how much of
-    /// the non-dominant phases' time local-bus contention serialises.
+    /// Timing model for the pipeline's overlapped phases (prefetch /
+    /// execute / writeback on the PLX9080's two DMA channels) — how much
+    /// of the non-dominant phases' time local-bus contention serialises.
+    /// [`OverlapConfig::serial`] hides nothing: each beat costs the sum
+    /// of its phases, the baseline the overlap is measured against.
     pub overlap: OverlapConfig,
-    /// Max same-design jobs a pipelined worker gathers into one laned
-    /// execute pass (`1` disables gathering). Lanes step many instances
-    /// of the loaded design together through the SIMD multi-lane CHDL
-    /// engine, amortising the host-side execution cost; virtual-time
-    /// accounting is unaffected — lanes serialise in virtual time on
-    /// the one physical device, so checksums, per-job timings and every
-    /// virtual statistic are identical to `lanes = 1`.
+    /// Max same-design jobs a worker gathers into one execute pass (`1`
+    /// disables gathering). A gathered TRT batch is histogrammed in one
+    /// shared traversal of the pattern bank
+    /// ([`WorkloadContext::execute_batch`](atlantis_apps::jobs::WorkloadContext::execute_batch),
+    /// a software reference model, not the CHDL engine), amortising the
+    /// host-side execution cost; other kinds execute job by job.
+    /// Virtual-time accounting is unaffected — lanes serialise in
+    /// virtual time on the one physical device, so checksums, per-job
+    /// timings and every virtual statistic are identical to `lanes = 1`.
     pub lanes: usize,
     /// Reliability policy: fault injection, scrub scheduling, integrity
     /// checks, and the self-healing recovery path. The default,
@@ -118,7 +123,6 @@ impl Default for RuntimeConfig {
             policy: SchedPolicy::ReconfigAware { batch_window: 32 },
             scan_depth: 64,
             aging_limit: 8,
-            pipeline: true,
             overlap: OverlapConfig::default(),
             lanes: 8,
             guard: GuardConfig::disabled(),
@@ -136,12 +140,13 @@ impl RuntimeConfig {
         }
     }
 
-    /// The default configuration but serving each job end to end with
-    /// no DMA/compute overlap — the baseline the pipeline is measured
-    /// against.
+    /// The default configuration but with no DMA/compute overlap
+    /// ([`OverlapConfig::serial`]): every pipeline beat costs the sum of
+    /// its phases, so each job is charged as if served end to end — the
+    /// baseline the pipeline is measured against.
     pub fn serial() -> Self {
         RuntimeConfig {
-            pipeline: false,
+            overlap: OverlapConfig::serial(),
             ..Self::default()
         }
     }
@@ -199,7 +204,6 @@ impl Runtime {
                 Arc::clone(&cache),
                 Arc::clone(&shared),
                 Arc::clone(&pool),
-                config.pipeline,
                 config.lanes,
                 config.guard,
             );

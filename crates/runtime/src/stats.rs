@@ -197,8 +197,7 @@ pub struct RuntimeStats {
     /// The virtual makespan: the busiest device's total virtual time.
     /// Throughput on the simulated machine is `completed /` this.
     pub virtual_makespan: SimDuration,
-    /// Pipeline beats advanced across all devices (zero when serving
-    /// serially).
+    /// Pipeline beats advanced across all devices.
     pub pipeline_beats: u64,
     /// Times a device fully drained its pipeline — before a design
     /// switch (in-flight jobs must execute under the old design) or at
@@ -213,10 +212,11 @@ pub struct RuntimeStats {
     /// `stage_time` to see the overlap win.
     pub window_time: SimDuration,
     /// Virtual time hidden by DMA/compute overlap: the difference
-    /// between serial stage time and the overlap window, summed.
+    /// between serial stage time and the overlap window, summed. Zero
+    /// under `OverlapConfig::serial()` timing.
     pub overlap_saved: SimDuration,
-    /// Execute passes that gathered ≥ 2 same-design jobs and stepped
-    /// them through the laned engine together.
+    /// Execute passes that gathered ≥ 2 same-design jobs and executed
+    /// them in one batched pass.
     pub laned_passes: u64,
     /// Execute passes that retired a single job.
     pub scalar_passes: u64,
@@ -319,8 +319,9 @@ impl RuntimeStats {
 
     /// Fraction of serial stage time hidden by overlapping the DMA-in,
     /// execute, and DMA-out stages: `overlap_saved / Σ stage_time`.
-    /// Zero when serving serially; approaches `(k−1)/k` for `k`
-    /// perfectly-balanced stages under zero contention.
+    /// Zero under no-overlap timing ([`crate::RuntimeConfig::serial`]);
+    /// approaches `(k−1)/k` for `k` perfectly-balanced stages under zero
+    /// contention.
     pub fn overlap_efficiency(&self) -> f64 {
         let serial: SimDuration = self.stage_time.iter().copied().sum();
         let t = serial.as_secs_f64();

@@ -1,22 +1,22 @@
 //! Per-device worker: one OS thread owning one ACB.
 //!
 //! A worker pops jobs from the shared admission queue and serves them
-//! on its board. Two serving modes exist:
+//! on its board through one three-stage software pipeline. While job
+//! *N* executes in the FPGA matrix, job *N+1*'s payload streams in on
+//! DMA channel 0 (through the real PLX9080/PCI model) and job *N−1*'s
+//! result streams out on channel 1. The PLX9080's two channels and the
+//! bridge FIFOs make the three phases concurrent on the real board, so
+//! each pipeline beat occupies the device for the [overlap
+//! window](atlantis_pci::OverlapConfig) of the phases — close to the
+//! *max*, not the sum. In-flight jobs land in alternating ping/pong
+//! halves of rotating job slots so a prefetch never overwrites a
+//! payload still being executed.
 //!
-//! * **Serial** — each job end to end: payload DMA in (through the real
-//!   PLX9080/PCI model), a hardware task switch when the needed design
-//!   is not the one currently loaded, deterministic execution, result
-//!   DMA out. The device is occupied for the *sum* of the stages.
-//! * **Pipelined** (the default) — a three-stage software pipeline.
-//!   While job *N* executes in the FPGA matrix, job *N+1*'s payload
-//!   streams in on DMA channel 0 and job *N−1*'s result streams out on
-//!   channel 1. The PLX9080's two channels and the bridge FIFOs make
-//!   the three phases concurrent on the real board, so each pipeline
-//!   beat occupies the device for the [overlap
-//!   window](atlantis_pci::OverlapConfig) of the phases — close to the
-//!   *max*, not the sum. In-flight jobs land in alternating ping/pong
-//!   halves of rotating job slots so a prefetch never overwrites a
-//!   payload still being executed.
+//! The no-overlap baseline is this same pipeline under
+//! [`OverlapConfig::serial`](atlantis_pci::OverlapConfig::serial), whose
+//! window is the *sum* of the phases: the device is then busy for every
+//! job's DMA, reconfiguration and execute time added up, as if each job
+//! were served end to end.
 //!
 //! The pipeline only ever holds jobs for the design currently loaded:
 //! when the next admitted job needs a different design the worker
@@ -144,12 +144,9 @@ pub(crate) struct Worker {
     pub cache: Arc<BitstreamCache>,
     pub shared: Arc<Mutex<SharedStats>>,
     pool: Arc<BufferPool>,
-    pipeline: bool,
     /// Max same-design jobs one execute pass gathers (1 = no gathering).
     lanes: usize,
-    /// Serial mode: next whole job slot.
-    slot: usize,
-    /// Pipelined mode: next slot *half* in the ping/pong rotation.
+    /// Next slot *half* in the ping/pong rotation.
     seq: usize,
     staged: Option<Staged>,
     /// Executed job (result ready in its slot half), awaiting writeback.
@@ -174,7 +171,6 @@ impl Worker {
         cache: Arc<BitstreamCache>,
         shared: Arc<Mutex<SharedStats>>,
         pool: Arc<BufferPool>,
-        pipeline: bool,
         lanes: usize,
         guard: GuardConfig,
     ) -> Self {
@@ -187,9 +183,7 @@ impl Worker {
             cache,
             shared,
             pool,
-            pipeline,
             lanes: lanes.max(1),
-            slot: 0,
             seq: 0,
             staged: None,
             executed: None,
@@ -246,18 +240,13 @@ impl Worker {
         }
     }
 
-    /// Serve one popped job. The pipelined path first *gathers* up to
-    /// `lanes` queued jobs for the same design and precomputes their
-    /// outcomes in one laned pass
-    /// ([`WorkloadContext::execute_batch`] — bit-exact with serial
-    /// execution), then admits each job to the pipeline individually so
-    /// every per-beat virtual-time charge is identical to `lanes = 1`.
-    /// Lanes change host wall clock only.
+    /// Serve one popped job. The worker first *gathers* up to `lanes`
+    /// queued jobs for the same design and precomputes their outcomes in
+    /// one batched pass ([`WorkloadContext::execute_batch`] — bit-exact
+    /// with per-job execution), then admits each job to the pipeline
+    /// individually so every per-beat virtual-time charge is identical to
+    /// `lanes = 1`. Lanes change host wall clock only.
     fn dispatch(&mut self, job: QueuedJob) {
-        if !self.pipeline {
-            self.serve_serial(job);
-            return;
-        }
         let batch = self.gather(job);
         let specs: Vec<JobSpec> = batch.iter().map(|j| j.request.spec).collect();
         let outcomes = self.ctx.execute_batch(&specs);
@@ -305,7 +294,7 @@ impl Worker {
         batch
     }
 
-    // ---- pipelined path ------------------------------------------------
+    // ---- pipeline --------------------------------------------------------
 
     /// Admit a job to the pipeline: drain if it needs a design switch
     /// (in-flight jobs must execute under the old design), pay and
@@ -323,7 +312,7 @@ impl Worker {
 
         // Reconfiguration cannot overlap the pipeline (the fabric is
         // being rewritten), so it occupies the device serially.
-        let (reconfig, switched) = match self.switch_design(spec.kind, true) {
+        let (reconfig, switched) = match self.switch_design(spec.kind) {
             Ok(r) => r,
             Err(e) => {
                 self.shared.lock().unwrap().failed += 1;
@@ -517,129 +506,13 @@ impl Worker {
         let _ = st.job.reply.send(Ok(result));
     }
 
-    // ---- serial path ---------------------------------------------------
+    // ---- reconfiguration -------------------------------------------------
 
-    fn serve_serial(&mut self, job: QueuedJob) {
-        self.guard_inject();
-        let queue_wait = job.submitted.elapsed();
-        let spec = job.request.spec;
-
-        // Stage the payload into the next job slot over real DMA,
-        // streaming straight out of a pooled buffer.
-        let slots = self.driver.target().job_slots();
-        let addr = self
-            .driver
-            .target()
-            .job_slot_addr(self.slot)
-            .expect("slot index in range");
-        self.slot = (self.slot + 1) % slots;
-        let mut payload = self.pool.checkout(spec.payload_bytes() as usize);
-        payload.fill((spec.seed as u8) ^ 0x5A);
-        self.driver.take_elapsed();
-        self.driver.dma_write_from(addr, &payload);
-        drop(payload);
-
-        // Hardware task switch (cached bitstream, partial reconfig).
-        // `charge_busy` is false: the serial path bills the device the
-        // job's whole virtual total below, reconfiguration included.
-        let (reconfig, switched) = match self.switch_design(spec.kind, false) {
-            Ok(r) => r,
-            Err(e) => {
-                self.shared.lock().unwrap().failed += 1;
-                let _ = job.reply.send(Err(e));
-                return;
-            }
-        };
-
-        // Execute, then read the result back into a pooled buffer.
-        let mut outcome = self.ctx.execute(&spec);
-        let mut corrupt = false;
-        if self.guard.is_active() && !self.fabric.coproc.fpga().pending_upsets().is_empty() {
-            outcome.checksum ^= self.fabric.coproc.fpga().upset_digest();
-            corrupt = true;
-        }
-        let mut readback = self.pool.checkout(spec.result_bytes() as usize);
-        self.driver.dma_read_into(addr, &mut readback);
-        drop(readback);
-        let dma = self.driver.take_elapsed();
-
-        let timings = JobTimings {
-            device: self.device_index,
-            queue_wait,
-            wall: job.submitted.elapsed(),
-            dma,
-            reconfig,
-            execute: outcome.compute,
-            switched,
-        };
-        let result = JobResult {
-            id: job.id,
-            client: job.request.client,
-            spec,
-            checksum: outcome.checksum,
-            cycles: outcome.cycles,
-            timings,
-        };
-
-        {
-            let mut s = self.shared.lock().unwrap();
-            s.scalar_passes += 1;
-            s.dma_time += dma;
-            s.execute_time += outcome.compute;
-            s.device_busy[self.device_index] += timings.total_virtual();
-            if corrupt {
-                s.corrupt_executes += 1;
-            }
-        }
-        self.vclock += timings.total_virtual();
-
-        // The detection ladder runs against this job before its result
-        // is released; a detection discards the execution and retries.
-        if self.guard.is_active() {
-            self.guard.beats += 1;
-            let (dirty, _) = self.guard_scan(Some((spec, outcome.checksum)));
-            if dirty {
-                {
-                    let mut s = self.shared.lock().unwrap();
-                    s.detected_corruptions += 1;
-                    s.wasted_time += dma + outcome.compute;
-                }
-                self.requeue_or_fail(job);
-                return;
-            }
-        }
-
-        {
-            let mut s = self.shared.lock().unwrap();
-            s.completed += 1;
-            s.per_kind[spec.kind.index()] += 1;
-            s.latency.record(timings.wall);
-            s.virt_latency.record_virtual(timings.total_virtual());
-            if corrupt {
-                s.silent_corruptions += 1;
-            }
-        }
-        self.queue
-            .note_service(timings.wall.saturating_sub(queue_wait));
-
-        // A client that dropped its handle just doesn't read the result.
-        let _ = job.reply.send(Ok(result));
-    }
-
-    // ---- shared helpers ------------------------------------------------
-
-    /// Switch the device to `kind`'s design ([`Fabric::switch`]) and fold
-    /// the task-stats delta into the shared counters — the one place
-    /// reconfiguration accounting lives for both serving paths. Returns
-    /// the reconfiguration time and whether a switch actually happened.
-    /// `charge_busy` additionally bills the reconfiguration to the device
-    /// (the pipelined path; the serial path folds it into the job's
-    /// virtual total instead).
-    fn switch_design(
-        &mut self,
-        kind: JobKind,
-        charge_busy: bool,
-    ) -> Result<(SimDuration, bool), RuntimeError> {
+    /// Switch the device to `kind`'s design ([`Fabric::switch`]), fold the
+    /// task-stats delta into the shared counters and bill the
+    /// reconfiguration to the device. Returns the reconfiguration time
+    /// and whether a switch actually happened.
+    fn switch_design(&mut self, kind: JobKind) -> Result<(SimDuration, bool), RuntimeError> {
         let sw = self.fabric.switch(&self.cache, kind)?;
         if sw.switched {
             // A (partial) reconfiguration rewrites every differing and
@@ -653,13 +526,9 @@ impl Worker {
             s.partial_switches += sw.delta.partial_switches;
             s.frames_written += sw.delta.frames_written;
             s.reconfig_time += sw.delta.reconfig_time;
-            if charge_busy {
-                s.device_busy[self.device_index] += sw.reconfig;
-            }
+            s.device_busy[self.device_index] += sw.reconfig;
         }
-        if charge_busy {
-            self.vclock += sw.reconfig;
-        }
+        self.vclock += sw.reconfig;
         Ok((sw.reconfig, sw.switched))
     }
 
@@ -706,8 +575,7 @@ impl Worker {
         }
     }
 
-    /// Post-beat reliability work for the pipelined path: run the
-    /// detection ladder; when it flags the just-executed job, requeue
+    /// Post-beat reliability work: run the detection ladder; when it flags the just-executed job, requeue
     /// it for a clean re-execution. Returns whether any detector found
     /// corruption this beat (the caller then also discards the
     /// finishing job — a detection invalidates every in-flight result).

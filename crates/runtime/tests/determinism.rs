@@ -119,7 +119,10 @@ fn run_fault_campaign(config: RuntimeConfig, jobs: u64) -> (Vec<Option<u64>>, St
 fn fixed_seed_fault_campaigns_are_byte_identical_across_runs() {
     // Upset arrivals are a seeded Poisson process over the device's
     // *virtual* clock, so a closed-loop run replays the same campaign —
-    // injections, detections, retries, scrub times — byte for byte.
+    // injections, detections, retries, scrub times — byte for byte. The
+    // `serial` arm replays it under no-overlap timing (the same pipeline
+    // with `OverlapConfig::serial()`), where every beat costs the sum of
+    // its phases and the virtual clock the arrivals follow runs slower.
     let guard = GuardConfig {
         upset_rate: 3_000.0,
         stealth_fraction: 0.25,
@@ -196,8 +199,9 @@ fn threaded_compile_ledger_is_independent_of_seed_and_run() {
 
 #[test]
 fn closed_loop_serial_stats_are_byte_identical_across_runs() {
-    // The serial path shares the reconfiguration-accounting helper with
-    // the pipelined path; guard it with the same fingerprint.
+    // `RuntimeConfig::serial()` is the same pipeline under no-overlap
+    // timing (`OverlapConfig::serial()`); its fingerprint pins that every
+    // beat is charged the sum of its phases, deterministically.
     for seed in [3u64, 11] {
         let (sums_a, fp_a) = run_closed_loop(RuntimeConfig::serial(), seed, 16);
         let (sums_b, fp_b) = run_closed_loop(RuntimeConfig::serial(), seed, 16);

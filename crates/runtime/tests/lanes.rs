@@ -95,35 +95,3 @@ fn laned_mixed_serving_matches_scalar_virtual_time_exactly() {
     assert_eq!(scalar_results, laned_results);
     assert_virtual_equivalence(&scalar, &laned);
 }
-
-#[test]
-fn serial_mode_ignores_lanes() {
-    // The unpipelined baseline serves end to end; lanes must not change
-    // it at all (and must never report a laned pass).
-    let specs: Vec<JobSpec> = (0..40).map(JobSpec::trt).collect();
-    let serve = |lanes: usize| {
-        let system = AtlantisSystem::builder().with_acbs(1).build();
-        let config = RuntimeConfig {
-            lanes,
-            ..RuntimeConfig::serial()
-        };
-        let rt = Runtime::serve(system, config).unwrap();
-        let handles: Vec<_> = specs
-            .iter()
-            .map(|&s| rt.submit(JobRequest::new(0, s)).unwrap())
-            .collect();
-        let mut out: Vec<(u64, u64)> = handles
-            .into_iter()
-            .map(|h| h.wait().unwrap())
-            .map(|r| (r.id, r.checksum))
-            .collect();
-        out.sort_unstable();
-        (out, rt.shutdown())
-    };
-    let (r1, s1) = serve(1);
-    let (r8, s8) = serve(8);
-    assert_eq!(r1, r8);
-    assert_eq!(s1.laned_passes, 0);
-    assert_eq!(s8.laned_passes, 0);
-    assert_eq!(s8.scalar_passes, s8.completed);
-}

@@ -6,14 +6,15 @@
 //! four-ACB system through `atlantis-runtime`. The scheduler batches
 //! jobs that share the currently-loaded FPGA design, so most jobs skip
 //! reconfiguration entirely; a bounded admission queue sheds overload
-//! by rejection instead of growing without bound. By default each
-//! worker serves through the three-stage pipeline (prefetch / execute /
-//! writeback on the PLX9080's two DMA channels, DESIGN.md §9) so DMA
-//! and compute overlap; pass `--serial` to serve each job end to end
-//! and compare the overlap counters. The execute stage gathers up to
-//! `--lanes N` queued same-design jobs into one lane-batched pass
-//! (DESIGN.md §10) — virtual time is unchanged, only host wall clock
-//! improves; pass `--lanes 1` to disable lane batching.
+//! by rejection instead of growing without bound. Each worker serves
+//! through the three-stage pipeline (prefetch / execute / writeback on
+//! the PLX9080's two DMA channels, DESIGN.md §9) so DMA and compute
+//! overlap; pass `--serial` to run it with no overlap (every beat costs
+//! the sum of its phases) and compare the overlap counters. The
+//! execute stage gathers up to `--lanes N` queued same-design jobs into
+//! one lane-batched pass (DESIGN.md §10) — virtual time is unchanged,
+//! only host wall clock improves; pass `--lanes 1` to disable lane
+//! batching.
 //!
 //! Pass `--upset-rate R` to bombard the boards with `R` single event
 //! upsets per device-second of virtual busy time while they serve
@@ -34,7 +35,7 @@
 //! moved, reconfiguration cost accepted. Without those flags the
 //! example keeps its original single-node shape.
 //!
-//! Run with: `cargo run --release --example serving` (pipelined, 8 lanes)
+//! Run with: `cargo run --release --example serving` (overlapped, 8 lanes)
 //!       or: `cargo run --release --example serving -- --serial`
 //!       or: `cargo run --release --example serving -- --lanes 16`
 //!       or: `cargo run --release --example serving -- --upset-rate 2000`
@@ -171,9 +172,10 @@ fn cluster_demo(args: &[String]) {
 }
 
 fn main() {
-    // The pipeline knob: `pipeline: on` is the default; `--serial`
-    // serves each job end to end (the measured baseline). `--lanes N`
-    // caps the same-design batch the execute stage gathers per pass.
+    // The overlap knob: the calibrated local-bus contention is the
+    // default; `--serial` hides nothing, so every pipeline beat costs the
+    // sum of its phases (the measured baseline). `--lanes N` caps the
+    // same-design batch the execute stage gathers per pass.
     let args: Vec<String> = std::env::args().collect();
     // Any cluster knob switches the demo to the sharded serving layer.
     if ["--shards", "--tenants", "--offered-load", "--stealing"]
@@ -209,10 +211,10 @@ fn main() {
     let system = AtlantisSystem::builder().with_acbs(4).build();
     let rt = Arc::new(Runtime::serve(system, config).expect("system has ACBs to serve on"));
     println!(
-        "serving on {} ACBs, queue capacity {}, pipeline {}, lanes {}{}\n",
+        "serving on {} ACBs, queue capacity {}, overlap contention {}%, lanes {}{}\n",
         rt.devices(),
         rt.queue_capacity(),
-        if config.pipeline { "on" } else { "off" },
+        config.overlap.contention_pct,
         config.lanes,
         if config.guard.is_active() {
             format!(
