@@ -97,8 +97,8 @@ impl PatternBank {
     /// The bank (patterns × straws) is the large, shared operand; the
     /// per-lane activations are small. Walking the bank once and
     /// accumulating all lanes in the inner loop amortizes the traversal
-    /// across the batch — the same amortization the laned FPGA path gets
-    /// from streaming many events through one configured design.
+    /// across the batch — the same amortization a configured FPGA gets
+    /// from streaming many events through one design.
     pub fn reference_histogram_lanes(&self, lanes: &[&[bool]]) -> Vec<Vec<u32>> {
         for active in lanes {
             assert_eq!(active.len(), self.geometry.straws() as usize);

@@ -156,8 +156,7 @@ fn main() -> std::process::ExitCode {
     // End-to-end serving wall clock at these event sizes is dominated by
     // the serving loop itself (threads, channels, virtual-time
     // bookkeeping), so this is recorded informationally with a wide
-    // band; the execute-stage kernel below carries the speedup claim,
-    // and BENCH_lanes.json the CHDL-level ≥ 3x claim.
+    // band; the execute-stage kernel below carries the speedup claim.
     c.check_band(
         "serving wall-clock ratio laned/scalar",
         scalar.wall.as_secs_f64() / laned.wall.as_secs_f64(),

@@ -10,9 +10,16 @@
 //! job-slot halves (a) with no overlap (`RuntimeConfig::serial()`: every
 //! beat costs the sum of its phases, as if each job were served end to
 //! end) and (b) with the calibrated overlap. Both runs must produce
-//! bit-identical results; the pipelined run must finish in materially
-//! less virtual machine time, and its overlap-efficiency and
+//! bit-identical results; the pipelined run must spend materially less
+//! device time outside reconfiguration (the per-beat overlap windows,
+//! summed over devices), and its overlap-efficiency and
 //! latency-percentile counters must be live.
+//!
+//! The check uses that window-time ratio, not the virtual makespan
+//! ratio: the makespan is the busiest of the four boards, so it also
+//! measures how the client threads happened to spread jobs across
+//! boards, and it swings with thread interleaving. The makespan ratio
+//! is printed, not checked.
 
 use atlantis_apps::jobs::JobSpec;
 use atlantis_bench::{f, Checker, Table};
@@ -163,6 +170,16 @@ fn main() -> std::process::ExitCode {
             s.full_loads + s.partial_switches,
         );
     }
+    let window_speedup =
+        serial.stats.window_time.as_secs_f64() / pipe.stats.window_time.as_secs_f64();
+    println!(
+        "speedup pipelined/serial: window time {} (checked) | makespan {} (busiest board, informational)",
+        f(window_speedup, 3),
+        f(
+            pipe.stats.virtual_jobs_per_sec() / serial.stats.virtual_jobs_per_sec(),
+            3
+        ),
+    );
     println!();
 
     c.check(
@@ -178,8 +195,8 @@ fn main() -> std::process::ExitCode {
         serial.stats.failed == 0 && pipe.stats.failed == 0,
     );
     c.check_band(
-        "virtual throughput speedup pipelined/serial",
-        pipe.stats.virtual_jobs_per_sec() / serial.stats.virtual_jobs_per_sec(),
+        "non-reconfiguration device-time speedup pipelined/serial (summed over devices)",
+        window_speedup,
         1.3,
         1e3,
     );

@@ -1,10 +1,10 @@
 //! Shared TRT-scale workload for the CHDL engine benches.
 //!
-//! `chdl_engine`, `chdl_fusion` and `chdl_lanes` all measure the same
-//! netlist — the externally-interfaced TRT histogrammer at full scale —
-//! and each used to carry a private copy of its construction, stimulus
-//! and ledger-printing code. One copy lives here instead, so the three
-//! benches provably time the same workload.
+//! `chdl_engine` and `chdl_fusion` both measure the same netlist — the
+//! externally-interfaced TRT histogrammer at full scale — and each used
+//! to carry a private copy of its construction, stimulus and
+//! ledger-printing code. One copy lives here instead, so the two benches
+//! provably time the same workload.
 
 use atlantis_chdl::{Design, EngineStats, NetoptLedger, Signal, Sim};
 use std::time::Instant;

@@ -52,8 +52,6 @@
 //! match dispatch once, and the program is rebuilt at the end of that
 //! eval. A compile ledger (blocks built, closures specialized, compile
 //! time, dispatch mode taken per eval) is reported in [`EngineStats`].
-//! Threaded dispatch is a scalar-engine tier: lane groups always dispatch
-//! per op through the `match` path.
 //!
 //! The tree-walking interpreter in `sim.rs` is retained as the reference
 //! oracle (it shares the lowering and scalar-execution helpers below, so
@@ -206,12 +204,6 @@ fn repack_parts(c: u32) -> (u32, u32, u32, u64, u64) {
 // ---- public configuration & statistics -----------------------------------
 
 /// How the levelized micro-op stream is dispatched at eval time.
-///
-/// Applies to scalar [`Sim`](crate::Sim)s only. A
-/// [`LaneGroup`](crate::lanes::LaneGroup) ignores it and always dispatches
-/// per op through `match`: each op spends its time in its chunked lane
-/// loop, so compiling ops to closures saves nothing measurable (within 2%
-/// on an 8-lane TRT-scale stream).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
     /// Per-op `match` dispatch through the shared scalar-execution helper
@@ -321,8 +313,7 @@ pub struct EngineStats {
     /// Evals that dispatched through a compiled threaded program.
     pub evals_threaded: u64,
     /// Evals that dispatched through the per-op `match` path (includes
-    /// the fallback eval right after a poke invalidates the program, and
-    /// every laned eval).
+    /// the fallback eval right after a poke invalidates the program).
     pub evals_match: u64,
     /// Final-stream population of each fused superop mnemonic.
     pub superops: Vec<(&'static str, usize)>,
@@ -1840,7 +1831,7 @@ impl CompiledEngine {
 
     /// Mark every async read port of memory `mem` dirty (after a poke or a
     /// committed write).
-    pub(crate) fn mark_mem_dirty(&mut self, mem: u32) {
+    fn mark_mem_dirty(&mut self, mem: u32) {
         if self.full_dirty {
             return;
         }
@@ -2313,504 +2304,6 @@ impl CompiledEngine {
                     );
                 }
             });
-        }
-    }
-
-    // ---- lane-batched execution -----------------------------------------
-    //
-    // The multi-lane mode steps L independent instances of the design
-    // through the *same* micro-op stream: per-node value storage becomes a
-    // node-major struct-of-arrays (`vals[node * L + lane]`) so the inner
-    // lane loop of every op touches contiguous words, and memories become
-    // per-lane banks inside one flat allocation. Dirty tracking is shared
-    // across lanes — an op re-executes when *any* lane's inputs changed —
-    // so one queue drain serves all instances and the per-op dispatch,
-    // bookkeeping and consumer-marking cost is amortized L ways. The
-    // chunked `lane_map*` helpers below stage operands through fixed-size
-    // stack arrays, which gives LLVM alias-free loops it auto-vectorizes
-    // to SIMD.
-    //
-    // The laned paths run the *same fused stream* as the scalar engine and
-    // honor the same adaptive dense/cascade heuristics. They dispatch per
-    // op through `exec_op_lanes` whatever the `DispatchMode`: each op
-    // spends its time in the chunked lane loop, next to which the
-    // per-op `match` is noise.
-
-    /// Execute op `i` across every lane. Returns whether any lane's
-    /// destination value changed.
-    #[inline(always)]
-    fn exec_op_lanes(&self, i: usize, st: &mut LaneState) -> bool {
-        let LaneState {
-            lanes, vals, mems, ..
-        } = st;
-        let lanes = *lanes;
-        let d0 = self.op_dst[i] as usize * lanes;
-        let a0 = self.op_a[i] as usize * lanes;
-        let b0 = self.op_b[i] as usize; // NONE for one-operand ops
-        let imm = self.op_imm[i];
-        match self.op_code[i] {
-            OP_NOT => lane_map1(vals, d0, a0, lanes, |a| !a & imm),
-            OP_RED_AND => lane_map1(vals, d0, a0, lanes, |a| u64::from(a == imm)),
-            OP_RED_OR => lane_map1(vals, d0, a0, lanes, |a| u64::from(a != 0)),
-            OP_RED_XOR => lane_map1(vals, d0, a0, lanes, |a| u64::from(a.count_ones() & 1 == 1)),
-            OP_AND => lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, b| a & b),
-            OP_OR => lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, b| a | b),
-            OP_XOR => lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, b| a ^ b),
-            OP_ADD => lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, b| {
-                a.wrapping_add(b) & imm
-            }),
-            OP_SUB => lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, b| {
-                a.wrapping_sub(b) & imm
-            }),
-            OP_MUL => lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, b| {
-                a.wrapping_mul(b) & imm
-            }),
-            OP_EQ => lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, b| u64::from(a == b)),
-            OP_NE => lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, b| u64::from(a != b)),
-            OP_LT => lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, b| u64::from(a < b)),
-            OP_LE => lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, b| u64::from(a <= b)),
-            OP_SHL => {
-                let w = self.op_c[i] as u64;
-                lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, s| {
-                    if s >= w {
-                        0
-                    } else {
-                        (a << s) & imm
-                    }
-                })
-            }
-            OP_SHR => {
-                let w = self.op_c[i] as u64;
-                lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, s| {
-                    if s >= w {
-                        0
-                    } else {
-                        a >> s
-                    }
-                })
-            }
-            OP_MUX => lane_map3(
-                vals,
-                d0,
-                a0,
-                b0 * lanes,
-                self.op_c[i] as usize * lanes,
-                lanes,
-                |s, t, f| if s != 0 { t } else { f },
-            ),
-            OP_SLICE => {
-                let sh = self.op_c[i];
-                lane_map1(vals, d0, a0, lanes, |a| (a >> sh) & imm)
-            }
-            OP_CONCAT => {
-                let sh = self.op_c[i];
-                lane_map2(vals, d0, a0, b0 * lanes, lanes, |hi, lo| (hi << sh) | lo)
-            }
-            OP_READ_ASYNC => {
-                // Per-lane addresses diverge — a gather, looped scalar.
-                let m = self.op_c[i] as usize;
-                let words = st.mem_words[m];
-                let bank = &mems[m];
-                let mut diff = 0u64;
-                for l in 0..lanes {
-                    let addr = vals[a0 + l] as usize;
-                    let v = if addr < words {
-                        bank[l * words + addr]
-                    } else {
-                        0
-                    };
-                    diff |= v ^ vals[d0 + l];
-                    vals[d0 + l] = v;
-                }
-                diff != 0
-            }
-            OP_NAND => lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, b| !(a & b) & imm),
-            OP_NOR => lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, b| !(a | b) & imm),
-            OP_XNOR => lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, b| !(a ^ b) & imm),
-            OP_ANDN => lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, b| a & !b & imm),
-            OP_AND3 => lane_map3(
-                vals,
-                d0,
-                a0,
-                b0 * lanes,
-                self.op_c[i] as usize * lanes,
-                lanes,
-                |a, b, c| a & b & c,
-            ),
-            OP_OR3 => lane_map3(
-                vals,
-                d0,
-                a0,
-                b0 * lanes,
-                self.op_c[i] as usize * lanes,
-                lanes,
-                |a, b, c| a | b | c,
-            ),
-            OP_XOR3 => lane_map3(
-                vals,
-                d0,
-                a0,
-                b0 * lanes,
-                self.op_c[i] as usize * lanes,
-                lanes,
-                |a, b, c| a ^ b ^ c,
-            ),
-            OP_AND_IMM => lane_map1(vals, d0, a0, lanes, |a| a & imm),
-            OP_OR_IMM => lane_map1(vals, d0, a0, lanes, |a| a | imm),
-            OP_XOR_IMM => lane_map1(vals, d0, a0, lanes, |a| a ^ imm),
-            OP_ADD_IMM => {
-                let m = mask64(self.op_c[i]);
-                lane_map1(vals, d0, a0, lanes, |a| a.wrapping_add(imm) & m)
-            }
-            OP_EQ_IMM => lane_map1(vals, d0, a0, lanes, |a| u64::from(a == imm)),
-            OP_NE_IMM => lane_map1(vals, d0, a0, lanes, |a| u64::from(a != imm)),
-            OP_MUX_EQI => lane_map3(
-                vals,
-                d0,
-                a0,
-                b0 * lanes,
-                self.op_c[i] as usize * lanes,
-                lanes,
-                |s, t, f| if s == imm { t } else { f },
-            ),
-            OP_SHL_IMM => {
-                let sh = self.op_c[i];
-                lane_map1(vals, d0, a0, lanes, |a| (a << sh) & imm)
-            }
-            OP_REPACK => {
-                let (l1, l2, w2, m1, m2) = repack_parts(self.op_c[i]);
-                lane_map2(vals, d0, a0, b0 * lanes, lanes, |x, y| {
-                    (((x >> l1) & m1) << w2) | ((y >> l2) & m2)
-                })
-            }
-            OP_MUX_BIT => lane_map3(
-                vals,
-                d0,
-                a0,
-                b0 * lanes,
-                self.op_c[i] as usize * lanes,
-                lanes,
-                |s, t, f| if (s >> imm) & 1 != 0 { t } else { f },
-            ),
-            OP_ANDSHR => {
-                let sh = self.op_c[i];
-                lane_map2(vals, d0, a0, b0 * lanes, lanes, |a, b| {
-                    a & ((b >> sh) & imm)
-                })
-            }
-            OP_CAT3 => {
-                let (s1, s2) = (imm & 0xff, (imm >> 8) & 0xff);
-                lane_map3(
-                    vals,
-                    d0,
-                    a0,
-                    b0 * lanes,
-                    self.op_c[i] as usize * lanes,
-                    lanes,
-                    |a, b, c| (((a << s1) | b) << s2) | c,
-                )
-            }
-            OP_INC_IF => {
-                let m = mask64(self.op_c[i]);
-                lane_map2(vals, d0, a0, b0 * lanes, lanes, |s, q| {
-                    if s != 0 {
-                        q.wrapping_add(imm) & m
-                    } else {
-                        q
-                    }
-                })
-            }
-            OP_SELECT => {
-                // Per-lane table gather: each lane's selector picks its own
-                // leaf row. `b` is the selector shift, not a node id.
-                let start = self.op_c[i] as usize;
-                let sh = b0 as u32;
-                let mut diff = 0u64;
-                for l in 0..lanes {
-                    let idx = ((vals[a0 + l] >> sh) & imm) as usize;
-                    let v = vals[self.sel_tab[start + idx] as usize * lanes + l];
-                    diff |= v ^ vals[d0 + l];
-                    vals[d0 + l] = v;
-                }
-                diff != 0
-            }
-            _ => unreachable!("invalid opcode"),
-        }
-    }
-
-    /// Laned [`CompiledEngine::eval`]: settle combinational values for
-    /// every lane, draining the shared dirty queues once for all lanes.
-    /// Honors the same adaptive dense/cascade heuristics as the scalar
-    /// path, executed serially (bit-exact by construction). Every laned
-    /// eval counts as match dispatch in [`EngineStats`].
-    pub(crate) fn eval_lanes(&mut self, st: &mut LaneState) {
-        if !self.full_dirty && !self.any_dirty {
-            return;
-        }
-        self.stats.evals_match += 1;
-        if self.full_dirty {
-            for i in 0..self.op_code.len() {
-                self.exec_op_lanes(i, st);
-            }
-            self.full_dirty = false;
-            self.reset_dirty();
-            self.sweep_first = self.level_queues.len() as u32;
-            return;
-        }
-        if self.streaming {
-            for i in 0..self.op_code.len() {
-                self.exec_op_lanes(i, st);
-            }
-            self.reset_dirty();
-            self.sweep_first = self.level_queues.len() as u32;
-            return;
-        }
-        if self.sweep_mode {
-            for op in self.level_start[self.sweep_first as usize] as usize..self.op_code.len() {
-                self.exec_op_lanes(op, st);
-            }
-            self.sweep_first = self.level_queues.len() as u32;
-            self.any_dirty = false;
-            self.sweep_left -= 1;
-            if self.sweep_left == 0 {
-                self.sweep_mode = false;
-                self.sweep_streak = 0;
-            }
-            return;
-        }
-        if !self.adaptive {
-            for lvl in 0..self.level_queues.len() {
-                self.drain_level_lanes(lvl, st);
-            }
-            self.any_dirty = false;
-            return;
-        }
-        let levels = self.level_queues.len();
-        // Same global density escape as the scalar path (see `eval`).
-        let mut queued_total = 0;
-        let mut first_dirty = levels;
-        for lvl in 0..levels {
-            let q = self.level_queues[lvl].len();
-            if q > 0 {
-                queued_total += q;
-                first_dirty = first_dirty.min(lvl);
-            }
-        }
-        if first_dirty < levels {
-            let rest = self.op_code.len() - self.level_start[first_dirty] as usize;
-            if queued_total * SWEEP_DENSITY >= rest {
-                for op in self.level_start[first_dirty] as usize..self.op_code.len() {
-                    self.exec_op_lanes(op, st);
-                }
-                self.reset_dirty();
-                self.sweep_streak += 1;
-                if self.sweep_streak >= SWEEP_ENTER {
-                    self.sweep_mode = true;
-                    self.sweep_left = SWEEP_HOLD;
-                    self.sweep_first = levels as u32;
-                }
-                return;
-            }
-        }
-        self.sweep_streak = 0;
-        let mut cascade_from = None;
-        for lvl in 0..levels {
-            let queued = self.level_queues[lvl].len();
-            if queued == 0 {
-                continue;
-            }
-            let lo = self.level_start[lvl] as usize;
-            let hi = self.level_start[lvl + 1] as usize;
-            let span = hi - lo;
-            if queued == span && span >= CASCADE_MIN_SPAN {
-                cascade_from = Some(lvl);
-                break;
-            }
-            if queued * 2 >= span && span >= DENSE_MIN_SPAN {
-                let mut queue = std::mem::take(&mut self.level_queues[lvl]);
-                for &op in &queue {
-                    self.op_dirty[op as usize] = false;
-                }
-                queue.clear();
-                self.level_queues[lvl] = queue;
-                for op in lo..hi {
-                    if self.exec_op_lanes(op, st) {
-                        self.mark_node_dirty(self.op_dst[op]);
-                    }
-                }
-            } else {
-                self.drain_level_lanes(lvl, st);
-            }
-        }
-        match cascade_from {
-            Some(from) => {
-                for op in self.level_start[from] as usize..self.op_code.len() {
-                    self.exec_op_lanes(op, st);
-                }
-                self.reset_dirty();
-            }
-            None => self.any_dirty = false,
-        }
-    }
-
-    /// Drain one level's dirty queue across all lanes.
-    fn drain_level_lanes(&mut self, lvl: usize, st: &mut LaneState) {
-        let mut queue = std::mem::take(&mut self.level_queues[lvl]);
-        for &op32 in &queue {
-            let op = op32 as usize;
-            self.op_dirty[op] = false;
-            if self.exec_op_lanes(op, st) {
-                self.mark_node_dirty(self.op_dst[op]);
-            }
-        }
-        queue.clear();
-        self.level_queues[lvl] = queue; // keep the allocation
-    }
-
-    /// Laned next-state sampling into the group's persistent scratch
-    /// arena (phase 1: every lane still shows pre-edge values).
-    ///
-    /// The register loop runs every cycle over every register whether or
-    /// not anything changed, so it is the steady-state floor of a laned
-    /// step: the clear/enable cases are specialised per register
-    /// *outside* the lane loop and the lane loop itself is branch-free
-    /// (mask selects), which LLVM vectorizes.
-    fn sample_state_lanes(&self, st: &mut LaneState) {
-        let lanes = st.lanes;
-        let nregs = self.reg_dst.len();
-        let LaneState {
-            vals,
-            mems,
-            mem_words,
-            scratch,
-            ..
-        } = st;
-        for r in 0..nregs {
-            let q0 = self.reg_dst[r] as usize * lanes;
-            let d0 = self.reg_d[r] as usize * lanes;
-            let clr = self.reg_clr[r];
-            let en = self.reg_en[r];
-            let init = self.reg_init[r];
-            let out = &mut scratch[r * lanes..(r + 1) * lanes];
-            let d = &vals[d0..d0 + lanes];
-            match (clr != NONE, en != NONE) {
-                (false, false) => out.copy_from_slice(d),
-                (false, true) => {
-                    let q = &vals[q0..q0 + lanes];
-                    let e = &vals[en as usize * lanes..en as usize * lanes + lanes];
-                    for l in 0..lanes {
-                        let hold = 0u64.wrapping_sub(u64::from(e[l] == 0));
-                        out[l] = (hold & q[l]) | (!hold & d[l]);
-                    }
-                }
-                (true, false) => {
-                    let c = &vals[clr as usize * lanes..clr as usize * lanes + lanes];
-                    for l in 0..lanes {
-                        let rst = 0u64.wrapping_sub(u64::from(c[l] != 0));
-                        out[l] = (rst & init) | (!rst & d[l]);
-                    }
-                }
-                (true, true) => {
-                    let q = &vals[q0..q0 + lanes];
-                    let c = &vals[clr as usize * lanes..clr as usize * lanes + lanes];
-                    let e = &vals[en as usize * lanes..en as usize * lanes + lanes];
-                    for l in 0..lanes {
-                        let hold = 0u64.wrapping_sub(u64::from(e[l] == 0));
-                        let held = (hold & q[l]) | (!hold & d[l]);
-                        let rst = 0u64.wrapping_sub(u64::from(c[l] != 0));
-                        out[l] = (rst & init) | (!rst & held);
-                    }
-                }
-            }
-        }
-        for s in 0..self.sr_dst.len() {
-            let a0 = self.sr_addr[s] as usize * lanes;
-            let m = self.sr_mem[s] as usize;
-            let words = mem_words[m];
-            let addrs = &vals[a0..a0 + lanes];
-            let out = &mut scratch[(nregs + s) * lanes..(nregs + s + 1) * lanes];
-            let bank = &mems[m];
-            for l in 0..lanes {
-                let addr = addrs[l] as usize;
-                out[l] = if addr < words {
-                    bank[l * words + addr]
-                } else {
-                    0
-                };
-            }
-        }
-    }
-
-    /// Laned write-port application (phase 2) with per-memory change
-    /// detection shared across lanes.
-    fn apply_writes_lanes(&mut self, st: &mut LaneState) {
-        for w in 0..self.wp_mem.len() {
-            let m = self.wp_mem[w] as usize;
-            let words = st.mem_words[m];
-            let we0 = self.wp_we[w] as usize * st.lanes;
-            let a0 = self.wp_addr[w] as usize * st.lanes;
-            let d0 = self.wp_data[w] as usize * st.lanes;
-            // Fast path: a port whose enable is low in every lane (the
-            // common idle state) costs one vectorizable OR reduction.
-            if st.vals[we0..we0 + st.lanes].iter().all(|&we| we == 0) {
-                continue;
-            }
-            let mut touched = false;
-            for l in 0..st.lanes {
-                if st.vals[we0 + l] != 0 {
-                    let addr = st.vals[a0 + l] as usize;
-                    if addr < words {
-                        let data = st.vals[d0 + l];
-                        let slot = &mut st.mems[m][l * words + addr];
-                        if *slot != data {
-                            *slot = data;
-                            touched = true;
-                        }
-                    }
-                }
-            }
-            if touched {
-                self.mark_mem_dirty(self.wp_mem[w]);
-            }
-        }
-    }
-
-    /// One clock edge applied to every lane: eval, sample, write, commit
-    /// with change detection, mirroring [`CompiledEngine::step`] exactly
-    /// but amortizing the bookkeeping across all lanes.
-    pub(crate) fn step_lanes(&mut self, st: &mut LaneState) {
-        self.eval_lanes(st);
-        self.sample_state_lanes(st);
-        self.apply_writes_lanes(st);
-        let lanes = st.lanes;
-        let nregs = self.reg_dst.len();
-        let nstate = nregs + self.sr_dst.len();
-        for k in 0..nstate {
-            let dst = if k < nregs {
-                self.reg_dst[k]
-            } else {
-                self.sr_dst[k - nregs]
-            };
-            let d0 = dst as usize * lanes;
-            let src = &st.scratch[k * lanes..(k + 1) * lanes];
-            let cur = &mut st.vals[d0..d0 + lanes];
-            let mut diff = 0u64;
-            for l in 0..lanes {
-                diff |= src[l] ^ cur[l];
-            }
-            if diff != 0 {
-                cur.copy_from_slice(src);
-                self.mark_node_dirty(dst);
-            }
-        }
-    }
-
-    /// `n` fused laned cycles — the multi-instance counterpart of
-    /// [`CompiledEngine::run_batch`], with zero per-edge heap allocation
-    /// (the lane arena and the dirty queues are reused across edges).
-    pub(crate) fn run_batch_lanes(&mut self, n: u64, st: &mut LaneState) {
-        for _ in 0..n {
-            self.step_lanes(st);
         }
     }
 }
@@ -3419,134 +2912,6 @@ fn fuse_stream(
             stats.ops_elided += 1;
         }
     }
-}
-
-/// Lanes per chunk of the laned inner loops. Operand values are staged
-/// through `[u64; LANE_CHUNK]` stack arrays so the compute loop is free
-/// of aliasing and bounds checks — the shape LLVM auto-vectorizes.
-pub(crate) const LANE_CHUNK: usize = 8;
-
-/// Structure-of-arrays state for a group of independent lanes, owned by
-/// [`LaneGroup`](crate::lanes::LaneGroup) and operated on by the laned
-/// `CompiledEngine` paths. All buffers are allocated once at fork time
-/// and reused for the group's lifetime — an allocation-free lane arena.
-#[derive(Debug, Clone)]
-pub(crate) struct LaneState {
-    /// Number of instances stepped together.
-    pub lanes: usize,
-    /// `vals[node * lanes + lane]` — node-major, so each op's inner lane
-    /// loop sweeps contiguous words.
-    pub vals: Vec<u64>,
-    /// Per memory, one flat per-lane bank: `mems[m][lane * words + addr]`.
-    pub mems: Vec<Vec<u64>>,
-    /// Word count of each memory (one lane's bank).
-    pub mem_words: Vec<usize>,
-    /// Persistent next-state sample arena: (registers + sync read ports)
-    /// × lanes.
-    pub scratch: Vec<u64>,
-}
-
-/// Apply `f` lane-wise to one operand row, writing the destination row.
-/// Returns whether any lane's destination changed.
-#[inline(always)]
-fn lane_map1(vals: &mut [u64], d0: usize, a0: usize, lanes: usize, f: impl Fn(u64) -> u64) -> bool {
-    let mut diff = 0u64;
-    let mut l = 0;
-    while l + LANE_CHUNK <= lanes {
-        let mut av = [0u64; LANE_CHUNK];
-        av.copy_from_slice(&vals[a0 + l..a0 + l + LANE_CHUNK]);
-        let mut out = [0u64; LANE_CHUNK];
-        for (o, &a) in out.iter_mut().zip(&av) {
-            *o = f(a);
-        }
-        for (&o, &d) in out.iter().zip(&vals[d0 + l..d0 + l + LANE_CHUNK]) {
-            diff |= o ^ d;
-        }
-        vals[d0 + l..d0 + l + LANE_CHUNK].copy_from_slice(&out);
-        l += LANE_CHUNK;
-    }
-    while l < lanes {
-        let new = f(vals[a0 + l]);
-        diff |= new ^ vals[d0 + l];
-        vals[d0 + l] = new;
-        l += 1;
-    }
-    diff != 0
-}
-
-/// Two-operand lane-wise map. See [`lane_map1`].
-#[inline(always)]
-fn lane_map2(
-    vals: &mut [u64],
-    d0: usize,
-    a0: usize,
-    b0: usize,
-    lanes: usize,
-    f: impl Fn(u64, u64) -> u64,
-) -> bool {
-    let mut diff = 0u64;
-    let mut l = 0;
-    while l + LANE_CHUNK <= lanes {
-        let mut av = [0u64; LANE_CHUNK];
-        let mut bv = [0u64; LANE_CHUNK];
-        av.copy_from_slice(&vals[a0 + l..a0 + l + LANE_CHUNK]);
-        bv.copy_from_slice(&vals[b0 + l..b0 + l + LANE_CHUNK]);
-        let mut out = [0u64; LANE_CHUNK];
-        for ((o, &a), &b) in out.iter_mut().zip(&av).zip(&bv) {
-            *o = f(a, b);
-        }
-        for (&o, &d) in out.iter().zip(&vals[d0 + l..d0 + l + LANE_CHUNK]) {
-            diff |= o ^ d;
-        }
-        vals[d0 + l..d0 + l + LANE_CHUNK].copy_from_slice(&out);
-        l += LANE_CHUNK;
-    }
-    while l < lanes {
-        let new = f(vals[a0 + l], vals[b0 + l]);
-        diff |= new ^ vals[d0 + l];
-        vals[d0 + l] = new;
-        l += 1;
-    }
-    diff != 0
-}
-
-/// Three-operand lane-wise map (the mux). See [`lane_map1`].
-#[inline(always)]
-fn lane_map3(
-    vals: &mut [u64],
-    d0: usize,
-    a0: usize,
-    b0: usize,
-    c0: usize,
-    lanes: usize,
-    f: impl Fn(u64, u64, u64) -> u64,
-) -> bool {
-    let mut diff = 0u64;
-    let mut l = 0;
-    while l + LANE_CHUNK <= lanes {
-        let mut av = [0u64; LANE_CHUNK];
-        let mut bv = [0u64; LANE_CHUNK];
-        let mut cv = [0u64; LANE_CHUNK];
-        av.copy_from_slice(&vals[a0 + l..a0 + l + LANE_CHUNK]);
-        bv.copy_from_slice(&vals[b0 + l..b0 + l + LANE_CHUNK]);
-        cv.copy_from_slice(&vals[c0 + l..c0 + l + LANE_CHUNK]);
-        let mut out = [0u64; LANE_CHUNK];
-        for (((o, &a), &b), &c) in out.iter_mut().zip(&av).zip(&bv).zip(&cv) {
-            *o = f(a, b, c);
-        }
-        for (&o, &d) in out.iter().zip(&vals[d0 + l..d0 + l + LANE_CHUNK]) {
-            diff |= o ^ d;
-        }
-        vals[d0 + l..d0 + l + LANE_CHUNK].copy_from_slice(&out);
-        l += LANE_CHUNK;
-    }
-    while l < lanes {
-        let new = f(vals[a0 + l], vals[b0 + l], vals[c0 + l]);
-        diff |= new ^ vals[d0 + l];
-        vals[d0 + l] = new;
-        l += 1;
-    }
-    diff != 0
 }
 
 /// Visit each combinational operand of `node` (mirrors the simulator's

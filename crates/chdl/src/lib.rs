@@ -54,7 +54,6 @@ pub(crate) mod engine;
 pub mod error;
 pub mod export;
 pub mod fsm;
-pub mod lanes;
 pub mod memory;
 pub mod netlist;
 pub mod nir;
@@ -67,7 +66,6 @@ pub mod vcd;
 
 pub use engine::{DispatchMode, EngineConfig, EngineStats};
 pub use error::ChdlError;
-pub use lanes::LaneGroup;
 pub use netlist::{Design, MemId, NetlistStats, RegSlot};
 pub use nir::{
     ConstFold, DeadGateElim, NetAnalysis, NetoptLedger, Nir, NirKind, Pass, PassManager,
@@ -79,7 +77,6 @@ pub use sim::{ExecMode, Sim};
 /// The commonly used CHDL surface.
 pub mod prelude {
     pub use crate::fsm::FsmBuilder;
-    pub use crate::lanes::LaneGroup;
     pub use crate::memory::FifoPorts;
     pub use crate::netlist::{Design, MemId, NetlistStats, RegSlot};
     pub use crate::signal::Signal;

@@ -28,10 +28,9 @@
 //! [`ChdlError::CombinationalLoop`].
 
 use crate::engine::{
-    exec_scalar, for_each_operand, lower_op, CompiledEngine, EngineConfig, EngineStats, LaneState,
+    exec_scalar, for_each_operand, lower_op, CompiledEngine, EngineConfig, EngineStats,
 };
 use crate::error::ChdlError;
-use crate::lanes::LaneGroup;
 use crate::netlist::{Design, MemId, Node, WritePortDecl, UNDRIVEN};
 use crate::signal::{mask, Signal};
 use std::collections::HashMap;
@@ -58,16 +57,10 @@ pub struct Sim {
     vals: Vec<u64>,
     mems: Vec<Vec<u64>>,
     names: HashMap<String, Signal>,
-    /// Nodes the design marked `dont_touch` (sorted): protected from
-    /// fusion elision, here and in lane forks.
-    dont_touch: Vec<u32>,
     /// Interpreter-mode "combinational values stale" flag.
     dirty: bool,
     cycle: u64,
     mode: ExecMode,
-    /// Engine tuning this instance was compiled with (inherited by
-    /// [`Sim::fork_lanes`] so lane groups fuse identically).
-    config: EngineConfig,
     engine: Option<CompiledEngine>,
     /// Interpreter-mode persistent next-state buffer (one slot per state
     /// node) so `step()` performs no per-edge heap allocation.
@@ -192,12 +185,7 @@ impl Sim {
         for sig in design.names.values() {
             protected[sig.node as usize] = true;
         }
-        let dont_touch: Vec<u32> = {
-            let mut v: Vec<u32> = design.dont_touch.iter().copied().collect();
-            v.sort_unstable();
-            v
-        };
-        for &i in &dont_touch {
+        for &i in &design.dont_touch {
             protected[i as usize] = true;
         }
 
@@ -230,11 +218,9 @@ impl Sim {
             vals,
             mems,
             names: design.names.clone(),
-            dont_touch,
             dirty: true,
             cycle: 0,
             mode,
-            config,
             engine,
             state_scratch,
         })
@@ -580,81 +566,6 @@ impl Sim {
     #[cfg(test)]
     pub(crate) fn engine(&self) -> Option<&CompiledEngine> {
         self.engine.as_ref()
-    }
-
-    /// Fork `lanes` independent instances of this design into a
-    /// [`LaneGroup`] stepped together by the compiled engine's
-    /// lane-batched (SIMD) execution paths.
-    ///
-    /// Every lane starts from this simulator's current state — inputs,
-    /// registers and memory contents are broadcast — and evolves
-    /// independently from there under per-lane inputs. The fork is
-    /// non-destructive (`&self`); the group compiles its own micro-op
-    /// stream, so it works from either execution mode.
-    ///
-    /// The group inherits this simulator's [`EngineConfig`] except
-    /// [`DispatchMode`](crate::DispatchMode): lanes always dispatch per op,
-    /// so no threaded program is built for them.
-    pub fn fork_lanes(&self, lanes: usize) -> LaneGroup {
-        assert!(lanes > 0, "a lane group needs at least one lane");
-        // Same protected set and config as our own engine, so the lane
-        // group's stream fuses identically (bit-exact with the scalar
-        // engine by construction).
-        let mut protected = vec![false; self.nodes.len()];
-        for sig in self.names.values() {
-            protected[sig.node as usize] = true;
-        }
-        for &i in &self.dont_touch {
-            protected[i as usize] = true;
-        }
-        let engine = CompiledEngine::compile(
-            &self.nodes,
-            &self.order,
-            &self.state_nodes,
-            &self.write_ports,
-            self.mems.len(),
-            &protected,
-            EngineConfig {
-                dispatch: crate::DispatchMode::Match,
-                ..self.config
-            },
-        );
-        let n = self.nodes.len();
-        let mut vals = vec![0u64; n * lanes];
-        for (node, &v) in self.vals.iter().enumerate() {
-            vals[node * lanes..(node + 1) * lanes].fill(v);
-        }
-        // Seed peephole-folded constants into every lane: in interpreter
-        // mode (or before a first eval) the source slots may be stale.
-        for &(node, v) in engine.folded_consts() {
-            vals[node as usize * lanes..(node as usize + 1) * lanes].fill(v);
-        }
-        let mem_words: Vec<usize> = self.mems.iter().map(Vec::len).collect();
-        let mems: Vec<Vec<u64>> = self
-            .mems
-            .iter()
-            .map(|bank| {
-                let mut lane_bank = Vec::with_capacity(bank.len() * lanes);
-                for _ in 0..lanes {
-                    lane_bank.extend_from_slice(bank);
-                }
-                lane_bank
-            })
-            .collect();
-        let state = LaneState {
-            lanes,
-            vals,
-            mems,
-            mem_words,
-            scratch: vec![0u64; self.state_nodes.len() * lanes],
-        };
-        LaneGroup::from_parts(
-            self.nodes.clone(),
-            self.names.clone(),
-            engine,
-            state,
-            self.cycle,
-        )
     }
 }
 

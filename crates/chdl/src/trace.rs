@@ -2,7 +2,6 @@
 //! in the spirit of CHDL's “use the original application to simulate the
 //! designs”.
 
-use crate::lanes::LaneGroup;
 use crate::sim::Sim;
 use std::fmt::Write as _;
 
@@ -27,13 +26,6 @@ impl Tracer {
     pub fn sample(&mut self, sim: &mut Sim) {
         let values = self.names.iter().map(|n| sim.get(n)).collect();
         self.rows.push((sim.cycle(), values));
-    }
-
-    /// Sample all watched signals from one lane of a [`LaneGroup`] at
-    /// the group's current cycle.
-    pub fn sample_lane(&mut self, group: &mut LaneGroup, lane: usize) {
-        let values = self.names.iter().map(|n| group.get(lane, n)).collect();
-        self.rows.push((group.cycle(), values));
     }
 
     /// Number of samples recorded.

@@ -135,9 +135,12 @@ proptest! {
 
     /// Fused-vs-unfused, adaptive-vs-per-op and threaded-vs-match
     /// co-simulation on netlists with deep combinational chains and
-    /// memory traffic. Every engine tuning must be bit-exact with the
-    /// interpreter oracle, and the deep chain guarantees the fusion pass
-    /// actually fires.
+    /// memory traffic. Every 13th stepped cycle holds the inputs and
+    /// instead pokes every word of memory `m` through the backdoor, which
+    /// the sweep-mode lock, streaming, per-op draining and the threaded
+    /// program's drop-and-rebuild must all see. Every engine tuning must
+    /// be bit-exact with the interpreter oracle, and the deep chain
+    /// guarantees the fusion pass actually fires.
     #[test]
     fn fused_and_adaptive_equivalence(
         recipes in proptest::collection::vec(
@@ -146,6 +149,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (design, outputs) = build_design_with_chain(&recipes, depth);
+        let mem = design.find_memory("m").unwrap();
 
         let mut oracle = Sim::with_mode(&design, ExecMode::Interpreted);
         let configs = engine_matrix();
@@ -162,11 +166,23 @@ proptest! {
 
         let mut stim = XorShift(seed);
         for cycle in 0..200u32 {
-            let vals: Vec<u64> = (0..N_INPUTS).map(|_| stim.next()).collect();
-            for (i, v) in vals.iter().enumerate() {
-                oracle.set(&format!("in{i}"), *v);
-                for sim in &mut sims {
-                    sim.set(&format!("in{i}"), *v);
+            if cycle % 13 == 0 {
+                // Inputs held, so only the pokes can re-evaluate the
+                // memory's async read cones this cycle.
+                for addr in 0..MEM_WORDS {
+                    let v = stim.next() & 0xFFF;
+                    oracle.poke_mem(mem, addr, v);
+                    for sim in &mut sims {
+                        sim.poke_mem(mem, addr, v);
+                    }
+                }
+            } else {
+                let vals: Vec<u64> = (0..N_INPUTS).map(|_| stim.next()).collect();
+                for (i, v) in vals.iter().enumerate() {
+                    oracle.set(&format!("in{i}"), *v);
+                    for sim in &mut sims {
+                        sim.set(&format!("in{i}"), *v);
+                    }
                 }
             }
             for name in &outputs {
@@ -195,7 +211,6 @@ proptest! {
                 prop_assert_eq!(sim.get(name), want, "post-batch config {}: {}", k, name);
             }
         }
-        let mem = design.find_memory("m").unwrap();
         for sim in &sims {
             prop_assert_eq!(sim.dump_mem(mem), oracle.dump_mem(mem));
         }

@@ -1,5 +1,5 @@
 //! Shared random-netlist generator for the equivalence suites
-//! (`engine_equiv.rs`, `lane_equiv.rs`).
+//! (`engine_equiv.rs`, `netopt_equiv.rs`).
 //!
 //! Grows a design from a list of [`Recipe`]s covering arithmetic, logic,
 //! muxes, slices, concats, registers (with enables/clears), FSMs and a

@@ -4,8 +4,8 @@
 //! redundant shapes (dead cones, duplicated subexpressions, constant
 //! cones, identity chains, `dont_touch` pins) — are co-simulated as
 //! elaborated and as [`Design::optimized`] returns them, against the
-//! interpreter oracle and a lane group forked from the optimized sim.
-//! Every simulation must be bit-exact on every output every cycle, and
+//! interpreter oracle. Every simulation must be bit-exact on every output
+//! every cycle, and
 //! final memory contents must agree word for word.
 //!
 //! The pipeline is additionally checked for the structural
@@ -31,9 +31,9 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The raw design, its optimized copy and a 2-lane group forked from
-    /// the optimized sim, co-simulated against the interpreter on the same
-    /// stimulus: every output every cycle, then final memory contents.
+    /// The raw design and its optimized copy, co-simulated against the
+    /// interpreter on the same stimulus: every output every cycle, then
+    /// final memory contents.
     #[test]
     fn netopt_config_matrix_equivalence(
         recipes in proptest::collection::vec(
@@ -59,10 +59,6 @@ proptest! {
         prop_assert!(opt_ops < raw_ops,
             "the optimized design must lower fewer micro-ops: {} vs {}", opt_ops, raw_ops);
 
-        // A lane group forked from the optimized sim inherits its stream.
-        let lanes = 2usize;
-        let mut group = opt.fork_lanes(lanes);
-
         let mut stim = XorShift(seed);
         for cycle in 0..200u32 {
             for i in 0..N_INPUTS {
@@ -71,9 +67,6 @@ proptest! {
                 oracle.set(&name, v);
                 raw.set(&name, v);
                 opt.set(&name, v);
-                for lane in 0..lanes {
-                    group.set(lane, &name, v);
-                }
             }
             for name in &outputs {
                 let want = oracle.get(name);
@@ -81,38 +74,24 @@ proptest! {
                 prop_assert_eq!(
                     opt.get(name), want, "optimized vs oracle: {} cycle {}", name, cycle
                 );
-                for lane in 0..lanes {
-                    prop_assert_eq!(
-                        group.get(lane, name), want,
-                        "lane {} vs oracle: {} cycle {}", lane, name, cycle
-                    );
-                }
             }
             oracle.step();
             raw.step();
             opt.step();
-            group.step();
         }
 
         // Batch phase: fused dense sweeps over both streams.
         oracle.run(100);
         raw.run_batch(100);
         opt.run_batch(100);
-        group.run_batch(100);
         for name in &outputs {
             let want = oracle.get(name);
             prop_assert_eq!(raw.get(name), want, "post-batch raw: {}", name);
             prop_assert_eq!(opt.get(name), want, "post-batch optimized: {}", name);
-            for lane in 0..lanes {
-                prop_assert_eq!(group.get(lane, name), want, "post-batch lane {}: {}", lane, name);
-            }
         }
         let want_mem = oracle.dump_mem(mem);
         prop_assert_eq!(raw.dump_mem(mem), want_mem.clone());
-        prop_assert_eq!(opt.dump_mem(opt_mem), want_mem.clone());
-        for lane in 0..lanes {
-            prop_assert_eq!(group.dump_mem(lane, opt_mem), want_mem.clone());
-        }
+        prop_assert_eq!(opt.dump_mem(opt_mem), want_mem);
     }
 
     /// `dont_touch` nodes survive the pipeline with their kind intact —

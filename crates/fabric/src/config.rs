@@ -12,7 +12,7 @@ use crate::bitstream::Bitstream;
 use crate::clock::ProgrammableClock;
 use crate::device::Device;
 use crate::fit::FittedDesign;
-use atlantis_chdl::{LaneGroup, Sim};
+use atlantis_chdl::Sim;
 use atlantis_simcore::{Frequency, SimDuration};
 use std::fmt;
 
@@ -264,33 +264,6 @@ impl Fpga {
         Ok(clock_time)
     }
 
-    /// Fork `lanes` instances of the configured design into a
-    /// [`LaneGroup`] seeded from the running simulator's current state —
-    /// the host-side model of streaming many independent work items
-    /// through one configured design (the Mitrion-style data-parallel
-    /// serving shape). The group runs on the host; virtual-time
-    /// accounting stays with [`Fpga::run_lanes`].
-    pub fn fork_lanes(&self, lanes: usize) -> Result<LaneGroup, ConfigError> {
-        let loaded = self.loaded.as_ref().ok_or(ConfigError::NotConfigured)?;
-        Ok(loaded.sim.fork_lanes(lanes))
-    }
-
-    /// Step a lane group `n` cycles and return the virtual time the
-    /// device would spend serving every lane: **lanes serialize in
-    /// virtual time** — the single physical device processes one
-    /// instance's worth of cycles per lane, `clock.cycles(n × L)` — while
-    /// the host steps all lanes together through the SIMD lane path.
-    /// Wall clock shrinks; the virtual bill is unchanged versus serving
-    /// each instance serially.
-    pub fn run_lanes(&mut self, group: &mut LaneGroup, n: u64) -> Result<SimDuration, ConfigError> {
-        if self.loaded.is_none() {
-            return Err(ConfigError::NotConfigured);
-        }
-        let clock_time = self.clock.cycles(n * group.lanes() as u64);
-        group.run_batch(n);
-        Ok(clock_time)
-    }
-
     /// Mutable access to the live configuration image (scrubbing and
     /// fault injection).
     pub(crate) fn live_bitstream_mut(&mut self) -> Option<&mut Bitstream> {
@@ -472,44 +445,6 @@ mod tests {
         fpga.deconfigure();
         assert!(!fpga.is_configured());
         assert!(fpga.sim_mut().is_none());
-    }
-
-    #[test]
-    fn lane_group_hosts_configured_design() {
-        let mut fpga = Fpga::new(Device::orca_3t125());
-        assert_eq!(
-            fpga.fork_lanes(4).unwrap_err(),
-            ConfigError::NotConfigured,
-            "lanes need a configured design"
-        );
-        fpga.configure(&fitted(1)).unwrap();
-        fpga.run_cycles(5).unwrap();
-        let mut group = fpga.fork_lanes(4).unwrap();
-        assert_eq!(group.lanes(), 4);
-        // Lanes inherit the configured design's live state.
-        for lane in 0..4 {
-            assert_eq!(group.get(lane, "count"), 5, "lane {lane}");
-        }
-        let t = fpga.run_lanes(&mut group, 10).unwrap();
-        // Lanes serialize in virtual time: the one physical device pays
-        // for every instance's cycles.
-        assert_eq!(t, Frequency::from_mhz(40).cycles(10 * 4));
-        for lane in 0..4 {
-            assert_eq!(group.get(lane, "count"), 15, "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn lane_virtual_time_matches_serial_instances() {
-        let mut fpga = Fpga::new(Device::orca_3t125());
-        fpga.configure(&fitted(3)).unwrap();
-        let mut group = fpga.fork_lanes(8).unwrap();
-        let laned = fpga.run_lanes(&mut group, 1000).unwrap();
-        let mut serial = SimDuration::ZERO;
-        for _ in 0..8 {
-            serial += fpga.run_cycles(1000).unwrap();
-        }
-        assert_eq!(laned, serial, "identical virtual bill");
     }
 
     #[test]
