@@ -88,7 +88,7 @@ fn main() -> std::process::ExitCode {
     // Scrubbing under an SEU barrage.
     let fitted = fit(&family("victim", &base_taps), &dev).unwrap();
     let mut fpga = Fpga::new(dev.clone());
-    fpga.configure(&fitted).unwrap();
+    fpga.configure(fitted).unwrap();
     let mut rng = WorkloadRng::seed_from_u64(0x5Eu64);
     let mut scrub_table = Table::new(
         "Ablation: scrubbing an SEU barrage",

@@ -533,7 +533,7 @@ mod tests {
                 let q = d.reg_feedback("q", 16, |d, q| d.add_const(q, i as u64 + 1));
                 d.expose_output("q", q);
                 let f = fit(&d, acb.fpga(i).device()).unwrap();
-                acb.fpga_mut(i).configure(&f).unwrap();
+                acb.fpga_mut(i).configure(f).unwrap();
             }
             acb
         };
@@ -575,7 +575,7 @@ mod tests {
             let q = d.reg("r", x);
             d.expose_output("q", q);
             let f = fit(&d, acb.fpga(i).device()).unwrap();
-            acb.fpga_mut(i).configure(&f).unwrap();
+            acb.fpga_mut(i).configure(f).unwrap();
         }
         acb.fpga_mut(2).inject_upset(5, 1, 0).unwrap();
         assert_eq!(

@@ -217,7 +217,10 @@ proptest! {
     }
 
     /// The backdoor must invalidate the compiled engine's read cones just
-    /// like it marks the interpreter dirty.
+    /// like it marks the interpreter dirty. Each poke hits the word the
+    /// held `addr` input already selects, after `ra` has settled on the
+    /// old contents, and `ra` is read with no `set` in between — so only
+    /// the poke's own invalidation can make the engine re-read the word.
     #[test]
     fn backdoor_pokes_stay_equivalent(
         pokes in proptest::collection::vec((0usize..MEM_WORDS, any::<u64>()), 1..32),
@@ -242,9 +245,17 @@ proptest! {
         let mut oracle = Sim::with_mode(&d, ExecMode::Interpreted);
         let mut stim = XorShift(seed);
         for (a, v) in pokes {
+            compiled.set("addr", a as u64);
+            threaded.set("addr", a as u64);
+            oracle.set("addr", a as u64);
+            prop_assert_eq!(compiled.get("ra"), oracle.get("ra"));
+            prop_assert_eq!(threaded.get("ra"), oracle.get("ra"));
             compiled.poke_mem(mem, a, v & 0xFFFF);
             threaded.poke_mem(mem, a, v & 0xFFFF);
             oracle.poke_mem(mem, a, v & 0xFFFF);
+            prop_assert_eq!(compiled.get("ra"), oracle.get("ra"), "held addr {}", a);
+            prop_assert_eq!(threaded.get("ra"), oracle.get("ra"), "held addr {}", a);
+            // Then a fresh address, as a normal read would set it.
             let probe = stim.next() % MEM_WORDS as u64;
             compiled.set("addr", probe);
             threaded.set("addr", probe);

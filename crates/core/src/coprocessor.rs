@@ -6,13 +6,15 @@
 //! designs. `switch_to` loads a task: the first load is a full
 //! configuration; subsequent switches use partial reconfiguration and pay
 //! only for the frames that differ — the measurable benefit this module's
-//! statistics expose.
+//! statistics expose. The library holds shared fits: a switch hands the
+//! FPGA the library's `Arc`, never a copy of the netlist or its image.
 
 use atlantis_chdl::Design;
 use atlantis_fabric::{fit, Device, FittedDesign};
 use atlantis_fabric::{ConfigError, FitError, Fpga};
 use atlantis_simcore::SimDuration;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Cumulative task-switch statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,7 +66,7 @@ impl std::error::Error for TaskError {}
 #[derive(Debug)]
 pub struct Coprocessor {
     fpga: Fpga,
-    library: HashMap<String, FittedDesign>,
+    library: HashMap<String, Arc<FittedDesign>>,
     current: Option<String>,
     stats: TaskStats,
 }
@@ -83,18 +85,20 @@ impl Coprocessor {
     /// Fit a design and register it under a task name.
     pub fn register(&mut self, name: impl Into<String>, design: &Design) -> Result<(), TaskError> {
         let fitted = fit(design, self.fpga.device()).map_err(TaskError::Fit)?;
-        self.library.insert(name.into(), fitted);
+        self.library.insert(name.into(), Arc::new(fitted));
         Ok(())
     }
 
     /// Register an already fitted design — the path a shared bitstream
     /// cache uses to install one fit result on many coprocessors without
-    /// re-running placement. The fit must target this device.
+    /// re-running placement. An `Arc` is shared as is, golden image
+    /// included. The fit must target this device.
     pub fn register_fitted(
         &mut self,
         name: impl Into<String>,
-        fitted: FittedDesign,
+        fitted: impl Into<Arc<FittedDesign>>,
     ) -> Result<(), TaskError> {
+        let fitted = fitted.into();
         if fitted.device() != self.fpga.device() {
             return Err(TaskError::DeviceMismatch {
                 fitted_for: fitted.device().name.clone(),
@@ -129,21 +133,21 @@ impl Coprocessor {
         if self.current.as_deref() == Some(name) {
             return Ok(SimDuration::ZERO);
         }
-        let fitted = self
-            .library
-            .get(name)
-            .ok_or_else(|| TaskError::UnknownTask(name.to_string()))?
-            .clone();
+        let fitted = Arc::clone(
+            self.library
+                .get(name)
+                .ok_or_else(|| TaskError::UnknownTask(name.to_string()))?,
+        );
         let t = if self.fpga.is_configured() && self.fpga.device().partial_reconfig {
             let (frames, t) = self
                 .fpga
-                .partial_reconfigure(&fitted)
+                .partial_reconfigure(fitted)
                 .map_err(TaskError::Config)?;
             self.stats.partial_switches += 1;
             self.stats.frames_written += frames as u64;
             t
         } else {
-            let t = self.fpga.configure(&fitted).map_err(TaskError::Config)?;
+            let t = self.fpga.configure(fitted).map_err(TaskError::Config)?;
             self.stats.full_loads += 1;
             self.stats.frames_written += self.fpga.device().config_frames as u64;
             t
@@ -274,19 +278,24 @@ mod tests {
     #[test]
     fn register_fitted_skips_refit_and_checks_the_device() {
         let d = task_design("fir_a", &[1, 2, 3, 4]);
-        let fitted = fit(&d, &Device::orca_3t125()).unwrap();
+        let fitted = Arc::new(fit(&d, &Device::orca_3t125()).unwrap());
 
         let mut c = Coprocessor::new(Device::orca_3t125());
         assert!(!c.has_task("fir_a"));
-        c.register_fitted("fir_a", fitted.clone()).unwrap();
+        c.register_fitted("fir_a", Arc::clone(&fitted)).unwrap();
         assert!(c.has_task("fir_a"));
         c.switch_to("fir_a").unwrap();
         assert_eq!(c.current_task(), Some("fir_a"));
+        assert!(
+            Arc::ptr_eq(c.fpga().fitted().unwrap(), &fitted),
+            "the registered fit is loaded as is, not copied"
+        );
 
         // Same bitstream on a different device family is rejected.
+        // A fit by value (copied into its own `Arc`) is checked the same way.
         let mut wrong = Coprocessor::new(Device::virtex_xcv600());
         assert!(matches!(
-            wrong.register_fitted("fir_a", fitted),
+            wrong.register_fitted("fir_a", FittedDesign::clone(&fitted)),
             Err(TaskError::DeviceMismatch { .. })
         ));
     }

@@ -108,6 +108,22 @@ impl Bitstream {
     /// frames whose contents differ. Panics if the two images target
     /// different devices or frame counts.
     pub fn diff(&self, target: &Bitstream) -> PartialBitstream {
+        let frames = self.changed_frames(target).cloned().collect();
+        PartialBitstream {
+            device_name: self.device_name.clone(),
+            base_crc: self.crc(),
+            frames,
+        }
+    }
+
+    /// The frames of `target` whose contents differ from `self`'s, in
+    /// address order — what [`Bitstream::diff`] copies, and what a task
+    /// switch counts without copying. Panics if the two images target
+    /// different devices or frame counts.
+    pub(crate) fn changed_frames<'a>(
+        &'a self,
+        target: &'a Bitstream,
+    ) -> impl Iterator<Item = &'a Frame> {
         assert_eq!(
             self.device_name, target.device_name,
             "bitstream device mismatch"
@@ -117,18 +133,11 @@ impl Bitstream {
             target.frames.len(),
             "frame count mismatch"
         );
-        let frames = self
-            .frames
+        self.frames
             .iter()
             .zip(&target.frames)
             .filter(|(a, b)| a.data != b.data)
-            .map(|(_, b)| b.clone())
-            .collect();
-        PartialBitstream {
-            device_name: self.device_name.clone(),
-            base_crc: self.crc(),
-            frames,
-        }
+            .map(|(_, b)| b)
     }
 
     /// Apply a partial bitstream in place.

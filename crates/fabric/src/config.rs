@@ -7,6 +7,12 @@
 //! configuration. [`Fpga`] models both paths with realistic virtual-time
 //! cost (frames × frame time at the configuration clock) and gives the
 //! host a live [`Sim`] of the configured design to drive.
+//!
+//! On the host, a switch costs a compare of the frames, not a rebuilt
+//! device: the FPGA keeps the caller's shared [`FittedDesign`], its live
+//! image is the fit's golden image until a write copies it, and the
+//! [`Sim`] is built on the first [`Fpga::sim_mut`] or
+//! [`Fpga::run_cycles`], not by the configuration.
 
 use crate::bitstream::Bitstream;
 use crate::clock::ProgrammableClock;
@@ -15,6 +21,7 @@ use crate::fit::FittedDesign;
 use atlantis_chdl::Sim;
 use atlantis_simcore::{Frequency, SimDuration};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from configuration operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,9 +84,31 @@ impl std::error::Error for ConfigError {}
 
 #[derive(Debug)]
 struct Loaded {
-    fitted: FittedDesign,
-    bitstream: Bitstream,
-    sim: Sim,
+    fitted: Arc<FittedDesign>,
+    /// The live image: the fit's golden image until a write copies it.
+    bitstream: Arc<Bitstream>,
+    /// The running design, built on first use (see [`Loaded::sim`]).
+    sim: Option<Sim>,
+}
+
+impl Loaded {
+    /// A freshly configured design: live image shared with the golden
+    /// one, no simulator yet.
+    fn new(fitted: Arc<FittedDesign>) -> Self {
+        Loaded {
+            bitstream: fitted.bitstream(),
+            fitted,
+            sim: None,
+        }
+    }
+
+    /// The running design's simulator, built in its init state on first
+    /// use — configured logic comes up reset, whenever it is first
+    /// driven.
+    fn sim(&mut self) -> &mut Sim {
+        self.sim
+            .get_or_insert_with(|| Sim::new(self.fitted.design()))
+    }
 }
 
 /// Lifetime statistics of one FPGA's configuration port.
@@ -170,20 +199,19 @@ impl Fpga {
     }
 
     /// Full configuration: stream the complete bitstream through the
-    /// configuration port. Returns the virtual time consumed.
-    pub fn configure(&mut self, fitted: &FittedDesign) -> Result<SimDuration, ConfigError> {
-        self.check_device(fitted)?;
-        let bitstream = fitted.bitstream();
-        let sim = Sim::new(fitted.design());
+    /// configuration port. Returns the virtual time consumed. The FPGA
+    /// keeps the shared fit (pass an `Arc` to share it with others).
+    pub fn configure(
+        &mut self,
+        fitted: impl Into<Arc<FittedDesign>>,
+    ) -> Result<SimDuration, ConfigError> {
+        let fitted = fitted.into();
+        self.check_device(&fitted)?;
         let t = self.device.full_config_time();
         self.stats.full_configs += 1;
         self.stats.frames_written += self.device.config_frames as u64;
         self.stats.config_time += t;
-        self.loaded = Some(Loaded {
-            fitted: fitted.clone(),
-            bitstream,
-            sim,
-        });
+        self.loaded = Some(Loaded::new(fitted));
         // A full configuration rewrites every frame: pending upsets are
         // overwritten with fresh configuration data.
         self.upsets.clear();
@@ -191,36 +219,31 @@ impl Fpga {
     }
 
     /// Partial reconfiguration (hardware task switch): writes only the
-    /// frames that differ between the current and the new design. The
-    /// running design state is replaced (registers reset), as on real
-    /// hardware where reconfigured logic comes up in its init state.
-    /// Returns `(frames_written, virtual_time)`.
+    /// frames that differ between the current and the new design — the
+    /// count [`Bitstream::diff`] would give, taken without building the
+    /// partial image. The running design state is replaced (registers
+    /// reset), as on real hardware where reconfigured logic comes up in
+    /// its init state. Returns `(frames_written, virtual_time)`.
     pub fn partial_reconfigure(
         &mut self,
-        fitted: &FittedDesign,
+        fitted: impl Into<Arc<FittedDesign>>,
     ) -> Result<(u32, SimDuration), ConfigError> {
-        self.check_device(fitted)?;
+        let fitted = fitted.into();
+        self.check_device(&fitted)?;
         if !self.device.partial_reconfig {
             return Err(ConfigError::PartialUnsupported);
         }
         let loaded = self.loaded.as_ref().ok_or(ConfigError::NotConfigured)?;
-        let target = fitted.bitstream();
-        let partial = loaded.bitstream.diff(&target);
-        let frames = partial.frames.len() as u32;
+        let frames = loaded.bitstream.changed_frames(&fitted.bitstream()).count() as u32;
         let t = self.device.frame_config_time(frames);
-        let sim = Sim::new(fitted.design());
         self.stats.partial_configs += 1;
         self.stats.frames_written += frames as u64;
         self.stats.config_time += t;
-        self.loaded = Some(Loaded {
-            fitted: fitted.clone(),
-            bitstream: target,
-            sim,
-        });
-        // The diff is taken against the *live* (possibly corrupted)
-        // image, so every corrupted frame differs from the target and is
-        // rewritten — a task switch heals pending upsets as a side
-        // effect, exactly as on real hardware.
+        self.loaded = Some(Loaded::new(fitted));
+        // The frames are compared against the *live* (possibly
+        // corrupted) image, so every corrupted frame differs from the
+        // target and is rewritten — a task switch heals pending upsets as
+        // a side effect, exactly as on real hardware.
         self.upsets.clear();
         Ok((frames, t))
     }
@@ -233,7 +256,7 @@ impl Fpga {
         }
         self.loaded
             .as_ref()
-            .map(|l| l.bitstream.clone())
+            .map(|l| Bitstream::clone(&l.bitstream))
             .ok_or(ConfigError::NotConfigured)
     }
 
@@ -243,13 +266,15 @@ impl Fpga {
         self.upsets.clear();
     }
 
-    /// Mutable access to the running design's simulator.
+    /// Mutable access to the running design's simulator, built on the
+    /// first call after a configuration.
     pub fn sim_mut(&mut self) -> Option<&mut Sim> {
-        self.loaded.as_mut().map(|l| &mut l.sim)
+        self.loaded.as_mut().map(Loaded::sim)
     }
 
-    /// The fitted design currently loaded.
-    pub fn fitted(&self) -> Option<&FittedDesign> {
+    /// The fitted design currently loaded — the shared fit it was
+    /// configured from.
+    pub fn fitted(&self) -> Option<&Arc<FittedDesign>> {
         self.loaded.as_ref().map(|l| &l.fitted)
     }
 
@@ -260,18 +285,23 @@ impl Fpga {
     pub fn run_cycles(&mut self, n: u64) -> Result<SimDuration, ConfigError> {
         let clock_time = self.clock.cycles(n);
         let loaded = self.loaded.as_mut().ok_or(ConfigError::NotConfigured)?;
-        loaded.sim.run_batch(n);
+        loaded.sim().run_batch(n);
         Ok(clock_time)
     }
 
     /// Mutable access to the live configuration image (scrubbing and
-    /// fault injection).
+    /// fault injection). The first write after a configuration copies
+    /// the shared golden image, so the golden image and every other FPGA
+    /// loaded from the same fit never see it.
     pub(crate) fn live_bitstream_mut(&mut self) -> Option<&mut Bitstream> {
-        self.loaded.as_mut().map(|l| &mut l.bitstream)
+        self.loaded
+            .as_mut()
+            .map(|l| Arc::make_mut(&mut l.bitstream))
     }
 
-    /// Shared access to the live configuration image (CRC scanning).
-    pub(crate) fn live_bitstream(&self) -> Option<&Bitstream> {
+    /// Shared access to the live configuration image (CRC scanning and
+    /// golden compares).
+    pub(crate) fn live_bitstream(&self) -> Option<&Arc<Bitstream>> {
         self.loaded.as_ref().map(|l| &l.bitstream)
     }
 
@@ -336,7 +366,7 @@ mod tests {
     fn configure_loads_and_runs() {
         let mut fpga = Fpga::new(Device::orca_3t125());
         assert!(!fpga.is_configured());
-        let t = fpga.configure(&fitted(1)).unwrap();
+        let t = fpga.configure(fitted(1)).unwrap();
         assert_eq!(t, Device::orca_3t125().full_config_time());
         assert!(fpga.is_configured());
         fpga.run_cycles(10).unwrap();
@@ -346,7 +376,7 @@ mod tests {
     #[test]
     fn run_cycles_reports_clock_time() {
         let mut fpga = Fpga::new(Device::orca_3t125());
-        fpga.configure(&fitted(1)).unwrap();
+        fpga.configure(fitted(1)).unwrap();
         let t = fpga.run_cycles(40_000).unwrap();
         assert_eq!(t, Frequency::from_mhz(40).cycles(40_000));
         fpga.set_clock(Frequency::from_mhz(20)).unwrap();
@@ -364,8 +394,8 @@ mod tests {
     #[test]
     fn partial_reconfig_is_cheaper_than_full() {
         let mut fpga = Fpga::new(Device::orca_3t125());
-        let full_t = fpga.configure(&fitted(1)).unwrap();
-        let (frames, partial_t) = fpga.partial_reconfigure(&fitted(2)).unwrap();
+        let full_t = fpga.configure(fitted(1)).unwrap();
+        let (frames, partial_t) = fpga.partial_reconfigure(fitted(2)).unwrap();
         assert!(frames > 0, "designs differ");
         assert!(
             frames < Device::orca_3t125().config_frames / 4,
@@ -382,13 +412,36 @@ mod tests {
     }
 
     #[test]
+    fn configuration_shares_the_fit_and_defers_the_sim() {
+        let (one, two) = (Arc::new(fitted(1)), Arc::new(fitted(2)));
+        let mut fpga = Fpga::new(Device::orca_3t125());
+        let sim_built = |fpga: &Fpga| fpga.loaded.as_ref().unwrap().sim.is_some();
+        fpga.configure(Arc::clone(&one)).unwrap();
+        assert!(
+            Arc::ptr_eq(fpga.fitted().unwrap(), &one),
+            "no copy of the fit"
+        );
+        assert!(!sim_built(&fpga), "configuring builds no Sim");
+        fpga.run_cycles(3).unwrap();
+        assert!(sim_built(&fpga));
+        fpga.partial_reconfigure(Arc::clone(&two)).unwrap();
+        assert!(Arc::ptr_eq(fpga.fitted().unwrap(), &two));
+        assert!(!sim_built(&fpga), "a switch drops the old Sim, builds none");
+        assert_eq!(
+            fpga.sim_mut().unwrap().get("count"),
+            0,
+            "the new design comes up reset"
+        );
+    }
+
+    #[test]
     fn partial_reconfig_matches_full_config_state() {
         let mut a = Fpga::new(Device::orca_3t125());
-        a.configure(&fitted(1)).unwrap();
-        a.partial_reconfigure(&fitted(3)).unwrap();
+        a.configure(fitted(1)).unwrap();
+        a.partial_reconfigure(fitted(3)).unwrap();
 
         let mut b = Fpga::new(Device::orca_3t125());
-        b.configure(&fitted(3)).unwrap();
+        b.configure(fitted(3)).unwrap();
 
         assert_eq!(
             a.readback().unwrap(),
@@ -400,7 +453,7 @@ mod tests {
     #[test]
     fn partial_reconfig_requires_configuration() {
         let mut fpga = Fpga::new(Device::orca_3t125());
-        let err = fpga.partial_reconfigure(&fitted(1)).unwrap_err();
+        let err = fpga.partial_reconfigure(fitted(1)).unwrap_err();
         assert_eq!(err, ConfigError::NotConfigured);
     }
 
@@ -410,25 +463,25 @@ mod tests {
         let small = fit(&counter_design(1), &dev).unwrap();
         let small2 = fit(&counter_design(2), &dev).unwrap();
         let mut fpga = Fpga::new(dev);
-        fpga.configure(&small).unwrap();
-        let err = fpga.partial_reconfigure(&small2).unwrap_err();
+        fpga.configure(small).unwrap();
+        let err = fpga.partial_reconfigure(small2).unwrap_err();
         assert_eq!(err, ConfigError::PartialUnsupported);
     }
 
     #[test]
     fn device_mismatch_rejected() {
         let mut fpga = Fpga::new(Device::virtex_xcv600());
-        let err = fpga.configure(&fitted(1)).unwrap_err();
+        let err = fpga.configure(fitted(1)).unwrap_err();
         assert!(matches!(err, ConfigError::DeviceMismatch { .. }));
     }
 
     #[test]
     fn readback_returns_loaded_image() {
         let mut fpga = Fpga::new(Device::orca_3t125());
-        let f = fitted(1);
-        fpga.configure(&f).unwrap();
+        let f = Arc::new(fitted(1));
+        fpga.configure(Arc::clone(&f)).unwrap();
         let rb = fpga.readback().unwrap();
-        assert_eq!(rb, f.bitstream());
+        assert_eq!(rb, *f.bitstream());
         assert!(rb.verify());
     }
 
@@ -441,7 +494,7 @@ mod tests {
     #[test]
     fn deconfigure_clears() {
         let mut fpga = Fpga::new(Device::orca_3t125());
-        fpga.configure(&fitted(1)).unwrap();
+        fpga.configure(fitted(1)).unwrap();
         fpga.deconfigure();
         assert!(!fpga.is_configured());
         assert!(fpga.sim_mut().is_none());
@@ -450,9 +503,9 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut fpga = Fpga::new(Device::orca_3t125());
-        fpga.configure(&fitted(1)).unwrap();
-        fpga.partial_reconfigure(&fitted(2)).unwrap();
-        fpga.partial_reconfigure(&fitted(1)).unwrap();
+        fpga.configure(fitted(1)).unwrap();
+        fpga.partial_reconfigure(fitted(2)).unwrap();
+        fpga.partial_reconfigure(fitted(1)).unwrap();
         let s = fpga.stats();
         assert_eq!(s.full_configs, 1);
         assert_eq!(s.partial_configs, 2);

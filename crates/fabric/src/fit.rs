@@ -11,6 +11,7 @@ use crate::device::Device;
 use atlantis_chdl::{Design, NetlistStats};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Why a design does not fit a device.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,11 +96,17 @@ pub struct FitReport {
 }
 
 /// A design successfully fitted onto a device.
+///
+/// The golden configuration image is a pure function of the fit, so it
+/// is built once, on the first [`FittedDesign::bitstream`] call, and
+/// shared from then on: every FPGA loaded from this fit (and every clone
+/// taken after that call) holds the same allocation.
 #[derive(Debug, Clone)]
 pub struct FittedDesign {
     design: Design,
     device: Device,
     stats: NetlistStats,
+    golden: OnceLock<Arc<Bitstream>>,
 }
 
 impl FittedDesign {
@@ -130,9 +137,15 @@ impl FittedDesign {
         }
     }
 
-    /// Generate the configuration image for this design.
-    pub fn bitstream(&self) -> Bitstream {
-        Bitstream::from_structure(&self.device, &self.design.structural_bytes())
+    /// The golden configuration image for this design, built on first
+    /// use and shared by every later call.
+    pub fn bitstream(&self) -> Arc<Bitstream> {
+        Arc::clone(self.golden.get_or_init(|| {
+            Arc::new(Bitstream::from_structure(
+                &self.device,
+                &self.design.structural_bytes(),
+            ))
+        }))
     }
 }
 
@@ -174,6 +187,7 @@ pub fn fit(design: &Design, device: &Device) -> Result<FittedDesign, FitError> {
         design: design.clone(),
         device: device.clone(),
         stats,
+        golden: OnceLock::new(),
     })
 }
 
@@ -270,5 +284,21 @@ mod tests {
         let f2 = fit(&small_design(), &Device::orca_3t125()).unwrap();
         assert_eq!(f1.stats(), f2.stats());
         assert_eq!(f1.bitstream(), f2.bitstream());
+    }
+
+    #[test]
+    fn golden_image_is_built_once_and_shared() {
+        let f = fit(&small_design(), &Device::orca_3t125()).unwrap();
+        let first = f.bitstream();
+        assert!(Arc::ptr_eq(&first, &f.bitstream()), "memoized");
+        assert!(
+            Arc::ptr_eq(&first, &f.clone().bitstream()),
+            "a clone taken after the build shares the image"
+        );
+        assert_eq!(
+            *first,
+            Bitstream::from_structure(f.device(), &f.design().structural_bytes()),
+            "the memo is the image the structure defines"
+        );
     }
 }

@@ -65,7 +65,7 @@ mod tests {
     fn configured(taps: u64) -> Fpga {
         let dev = Device::orca_3t125();
         let mut fpga = Fpga::new(dev.clone());
-        fpga.configure(&fit(&lfsr_design(taps), &dev).unwrap())
+        fpga.configure(fit(&lfsr_design(taps), &dev).unwrap())
             .unwrap();
         fpga
     }

@@ -28,10 +28,16 @@
 //! * **Full scrub** — [`Fpga::scrub`] reads back everything, compares
 //!   against the golden image and repairs all corruption (including
 //!   CRC-stealthy flips), at full read-back cost plus per-frame repairs.
+//!
+//! The golden image is the fit's memoized one
+//! ([`FittedDesign::bitstream`](crate::FittedDesign::bitstream)), shared
+//! with every FPGA loaded from the same fit. An upset lands in the FPGA's
+//! own copy of the image, made on its first write.
 
 use crate::bitstream::Frame;
 use crate::config::{ConfigError, Fpga};
 use atlantis_simcore::SimDuration;
+use std::sync::Arc;
 
 /// One injected-but-unrepaired configuration upset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,16 +104,20 @@ impl Fpga {
         bit: u8,
         stealthy: bool,
     ) -> Result<(), ConfigError> {
-        let bitstream = self
+        let live = self.live_bitstream().ok_or(ConfigError::NotConfigured)?;
+        let in_range = live
+            .frames
+            .get(frame as usize)
+            .is_some_and(|f| (byte as usize) < f.data.len());
+        if !in_range {
+            return Err(ConfigError::UpsetOutOfRange { frame, byte });
+        }
+        // Checked before the write, so a rejected upset never copies the
+        // shared image.
+        let f = &mut self
             .live_bitstream_mut()
-            .ok_or(ConfigError::NotConfigured)?;
-        if frame as usize >= bitstream.frames.len() {
-            return Err(ConfigError::UpsetOutOfRange { frame, byte });
-        }
-        let f = &mut bitstream.frames[frame as usize];
-        if byte as usize >= f.data.len() {
-            return Err(ConfigError::UpsetOutOfRange { frame, byte });
-        }
+            .ok_or(ConfigError::NotConfigured)?
+            .frames[frame as usize];
         let bit = bit % 8;
         f.data[byte as usize] ^= 1 << bit;
         if stealthy {
@@ -122,11 +132,17 @@ impl Fpga {
         Ok(())
     }
 
-    /// Whether the live configuration still matches its golden image.
+    /// Whether the live configuration still matches its golden image —
+    /// a read-back compare, so parts without read-back report
+    /// [`ConfigError::ReadbackUnsupported`]. Compares in place: a live
+    /// image no upset has copied is the golden image itself.
     pub fn integrity_ok(&self) -> Result<bool, ConfigError> {
         let golden = self.fitted().ok_or(ConfigError::NotConfigured)?.bitstream();
-        let live = self.readback()?;
-        Ok(live == golden)
+        if !self.device().readback {
+            return Err(ConfigError::ReadbackUnsupported);
+        }
+        let live = self.live_bitstream().ok_or(ConfigError::NotConfigured)?;
+        Ok(Arc::ptr_eq(live, &golden) || **live == *golden)
     }
 
     /// A deterministic digest of the pending upsets — what the guard
@@ -161,19 +177,23 @@ impl Fpga {
     /// far below the full read-back a [`Fpga::scrub`] pays, which is
     /// what makes per-job integrity checking affordable.
     pub fn crc_check(&self) -> Result<CrcCheck, ConfigError> {
-        let live = self.live_bitstream().ok_or(ConfigError::NotConfigured)?;
-        let mut frames: Vec<u32> = self.pending_upsets().iter().map(|u| u.frame).collect();
-        frames.sort_unstable();
-        frames.dedup();
-        let stale = frames
-            .iter()
-            .filter(|&&f| !live.frames[f as usize].verify())
-            .count() as u32;
+        let stale = self.stale_frames()?.len() as u32;
         let cycles = u64::from(self.device().config_frames.div_ceil(4));
         Ok(CrcCheck {
             stale_frames: stale,
             time: self.device().config_clock.cycles(cycles),
         })
+    }
+
+    /// The frames, in address order, that pending upsets left with a
+    /// stale stored CRC — what the CRC scan sees.
+    fn stale_frames(&self) -> Result<Vec<u32>, ConfigError> {
+        let live = self.live_bitstream().ok_or(ConfigError::NotConfigured)?;
+        let mut frames: Vec<u32> = self.pending_upsets().iter().map(|u| u.frame).collect();
+        frames.sort_unstable();
+        frames.dedup();
+        frames.retain(|&f| !live.frames[f as usize].verify());
+        Ok(frames)
     }
 
     /// Targeted repair: rewrite the golden contents of every frame the
@@ -184,25 +204,17 @@ impl Fpga {
     /// are healed with it.
     pub fn repair_upsets(&mut self) -> Result<ScrubReport, ConfigError> {
         let golden = self.fitted().ok_or(ConfigError::NotConfigured)?.bitstream();
-        let mut frames: Vec<u32> = self.pending_upsets().iter().map(|u| u.frame).collect();
-        frames.sort_unstable();
-        frames.dedup();
-        let mut repaired = 0u32;
-        let mut healed = Vec::new();
-        {
+        let healed = self.stale_frames()?;
+        if !healed.is_empty() {
             let live = self
                 .live_bitstream_mut()
                 .ok_or(ConfigError::NotConfigured)?;
-            for &f in &frames {
-                if !live.frames[f as usize].verify() {
-                    let gf = &golden.frames[f as usize];
-                    live.frames[f as usize] = Frame::new(gf.index, gf.data.clone());
-                    repaired += 1;
-                    healed.push(f);
-                }
+            for &f in &healed {
+                live.frames[f as usize] = golden.frames[f as usize].clone();
             }
         }
         self.upsets_mut().retain(|u| !healed.contains(&u.frame));
+        let repaired = healed.len() as u32;
         let time = self.device().frame_config_time(repaired);
         self.note_repair(repaired, time);
         Ok(ScrubReport {
@@ -222,7 +234,9 @@ impl Fpga {
         let readback_time = self.device().full_config_time();
         let mut repaired = 0u32;
         let mut crc_detectable = 0u32;
-        {
+        let live = self.live_bitstream().ok_or(ConfigError::NotConfigured)?;
+        // A live image no write has copied is the golden image itself.
+        if !Arc::ptr_eq(live, &golden) {
             let live = self
                 .live_bitstream_mut()
                 .ok_or(ConfigError::NotConfigured)?;
@@ -231,7 +245,7 @@ impl Fpga {
                     if !live_f.verify() {
                         crc_detectable += 1;
                     }
-                    *live_f = Frame::new(golden_f.index, golden_f.data.clone());
+                    *live_f = golden_f.clone();
                     repaired += 1;
                 }
             }
@@ -250,19 +264,65 @@ impl Fpga {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitstream::Bitstream;
     use crate::device::Device;
-    use crate::fit::fit;
+    use crate::fit::{fit, FittedDesign};
     use atlantis_chdl::Design;
 
-    fn configured_fpga() -> Fpga {
+    fn victim() -> FittedDesign {
         let mut d = Design::new("victim");
         let x = d.input("x", 16);
         let q = d.reg("r", x);
         d.expose_output("q", q);
-        let fitted = fit(&d, &Device::orca_3t125()).unwrap();
+        fit(&d, &Device::orca_3t125()).unwrap()
+    }
+
+    fn configured_fpga() -> Fpga {
         let mut fpga = Fpga::new(Device::orca_3t125());
-        fpga.configure(&fitted).unwrap();
+        fpga.configure(victim()).unwrap();
         fpga
+    }
+
+    #[test]
+    fn upsets_copy_the_image_and_stay_in_the_fpga_they_hit() {
+        let fitted = Arc::new(victim());
+        let golden = fitted.bitstream();
+        let pristine = Bitstream::clone(&golden);
+        let mut hit = Fpga::new(Device::orca_3t125());
+        let mut other = Fpga::new(Device::orca_3t125());
+        hit.configure(Arc::clone(&fitted)).unwrap();
+        other.configure(Arc::clone(&fitted)).unwrap();
+        for fpga in [&hit, &other] {
+            assert!(
+                Arc::ptr_eq(fpga.live_bitstream().unwrap(), &golden),
+                "before any upset, both live images are the golden allocation"
+            );
+        }
+
+        hit.inject_upset(10, 3, 5).unwrap();
+        hit.inject_upset_stealthy(42, 7, 3).unwrap();
+        assert!(!hit.integrity_ok().unwrap());
+        assert_eq!(*fitted.bitstream(), pristine, "golden image untouched");
+        assert_eq!(other.readback().unwrap(), pristine, "other FPGA untouched");
+        assert!(other.integrity_ok().unwrap());
+
+        assert_eq!(hit.repair_upsets().unwrap().frames_repaired, 1);
+        assert!(!hit.integrity_ok().unwrap(), "the stealthy flip survives");
+        assert_eq!(hit.scrub().unwrap().frames_repaired, 1);
+        assert_eq!(hit.readback().unwrap(), pristine);
+        assert!(hit.integrity_ok().unwrap());
+        assert_eq!(*fitted.bitstream(), pristine);
+    }
+
+    #[test]
+    fn integrity_needs_readback() {
+        let mut fpga = Fpga::new(Device {
+            readback: false,
+            ..Device::orca_3t125()
+        });
+        assert_eq!(fpga.integrity_ok(), Err(ConfigError::NotConfigured));
+        fpga.configure(victim()).unwrap();
+        assert_eq!(fpga.integrity_ok(), Err(ConfigError::ReadbackUnsupported));
     }
 
     #[test]
@@ -379,8 +439,8 @@ mod tests {
         let mut fpga = configured_fpga();
         fpga.inject_upset(10, 3, 5).unwrap();
         assert_eq!(fpga.pending_upsets().len(), 1);
-        let fitted = fpga.fitted().unwrap().clone();
-        fpga.partial_reconfigure(&fitted).unwrap();
+        let fitted = Arc::clone(fpga.fitted().unwrap());
+        fpga.partial_reconfigure(fitted).unwrap();
         assert!(fpga.pending_upsets().is_empty());
         assert!(fpga.integrity_ok().unwrap());
     }

@@ -4,6 +4,7 @@
 use atlantis_chdl::Design;
 use atlantis_fabric::{fit, Bitstream, Device, Fpga};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn design_from_taps(taps: &[u64]) -> Design {
     let mut d = Design::new("fir");
@@ -77,9 +78,9 @@ proptest! {
     fn scrub_always_restores(upsets in proptest::collection::vec((any::<u32>(), any::<u32>(), 0u8..8, any::<bool>()), 1..24)) {
         let dev = Device::orca_3t125();
         let fitted = fit(&design_from_taps(&[3, 5, 7]), &dev).unwrap();
-        let mut fpga = Fpga::new(dev.clone());
-        fpga.configure(&fitted).unwrap();
         let golden = fitted.bitstream();
+        let mut fpga = Fpga::new(dev.clone());
+        fpga.configure(fitted).unwrap();
         for (f, b, bit, stealthy) in upsets {
             let frame = f % dev.config_frames;
             let byte = b % dev.frame_bytes;
@@ -107,7 +108,7 @@ proptest! {
                      "CRC-visible corruption is a subset of all corruption");
         prop_assert!(fpga.integrity_ok().unwrap());
         prop_assert!(fpga.pending_upsets().is_empty());
-        prop_assert_eq!(fpga.readback().unwrap(), golden);
+        prop_assert_eq!(fpga.readback().unwrap(), *golden);
     }
 
     /// A partially reconfigured FPGA behaves exactly like one configured
@@ -118,12 +119,12 @@ proptest! {
                                                 stim in proptest::collection::vec(0u64..0x10000, 1..12)) {
         let dev = Device::orca_3t125();
         let f1 = fit(&design_from_taps(&t1), &dev).unwrap();
-        let f2 = fit(&design_from_taps(&t2), &dev).unwrap();
+        let f2 = Arc::new(fit(&design_from_taps(&t2), &dev).unwrap());
         let mut via_partial = Fpga::new(dev.clone());
-        via_partial.configure(&f1).unwrap();
-        via_partial.partial_reconfigure(&f2).unwrap();
+        via_partial.configure(f1).unwrap();
+        via_partial.partial_reconfigure(Arc::clone(&f2)).unwrap();
         let mut direct = Fpga::new(dev);
-        direct.configure(&f2).unwrap();
+        direct.configure(f2).unwrap();
         for &v in &stim {
             let s1 = via_partial.sim_mut().unwrap();
             s1.set("x", v);

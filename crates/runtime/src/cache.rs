@@ -8,6 +8,11 @@
 //! task library via
 //! [`Coprocessor::register_fitted`](atlantis_core::Coprocessor::register_fitted),
 //! so repeat configurations never re-run the fitter.
+//!
+//! Each cached fit also carries its golden configuration image
+//! ([`FittedDesign::bitstream`]), built on the first load of that design
+//! and shared by every FPGA loaded from the fit after that, so a task
+//! switch never rebuilds a device image.
 
 use atlantis_apps::jobs::JobKind;
 use atlantis_fabric::{fit, Device, FitError, FittedDesign};

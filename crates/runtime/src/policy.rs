@@ -154,7 +154,7 @@ impl Fabric {
             let fitted = cache
                 .get(kind)
                 .map_err(|e| RuntimeError::Task(TaskError::Fit(e)))?;
-            self.coproc.register_fitted(name, (*fitted).clone())?;
+            self.coproc.register_fitted(name, fitted)?;
         }
         let before = self.coproc.stats();
         let reconfig = self.coproc.switch_to(name)?;

@@ -17,7 +17,7 @@ fn main() {
     let dev = Device::orca_3t125();
     let fitted = fit(&d, &dev).unwrap();
     let mut fpga = Fpga::new(dev.clone());
-    fpga.configure(&fitted).unwrap();
+    fpga.configure(fitted).unwrap();
     println!(
         "configured '{}' on {}: integrity {}",
         d.name(),

@@ -3,9 +3,11 @@
 //! equivalence, and behavioural equivalence of a design run directly vs
 //! through a configured FPGA.
 
+use atlantis::apps::jobs::JobKind;
 use atlantis::fabric::Fpga;
 use atlantis::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn parametric_design(taps: &[u64]) -> Design {
     let mut d = Design::new("fir");
@@ -28,7 +30,7 @@ fn direct_sim_equals_configured_fpga_sim() {
 
     let mut direct = Sim::new(&d);
     let mut fpga = Fpga::new(Device::orca_3t125());
-    fpga.configure(&fitted).unwrap();
+    fpga.configure(fitted).unwrap();
 
     for step in 0..50u64 {
         let v = (step * 37) & 0xFFFF;
@@ -48,14 +50,14 @@ fn direct_sim_equals_configured_fpga_sim() {
 #[test]
 fn readback_after_partial_equals_direct_configuration() {
     let a = fit(&parametric_design(&[1, 2, 3]), &Device::orca_3t125()).unwrap();
-    let b = fit(&parametric_design(&[1, 2, 9]), &Device::orca_3t125()).unwrap();
+    let b = Arc::new(fit(&parametric_design(&[1, 2, 9]), &Device::orca_3t125()).unwrap());
 
     let mut via_partial = Fpga::new(Device::orca_3t125());
-    via_partial.configure(&a).unwrap();
-    via_partial.partial_reconfigure(&b).unwrap();
+    via_partial.configure(a).unwrap();
+    via_partial.partial_reconfigure(Arc::clone(&b)).unwrap();
 
     let mut direct = Fpga::new(Device::orca_3t125());
-    direct.configure(&b).unwrap();
+    direct.configure(b).unwrap();
 
     assert_eq!(via_partial.readback().unwrap(), direct.readback().unwrap());
 }
@@ -66,10 +68,68 @@ fn config_time_accounts_every_frame() {
     let dev = Device::orca_3t125();
     let fitted = fit(&d, &dev).unwrap();
     let mut fpga = Fpga::new(dev.clone());
-    let t = fpga.configure(&fitted).unwrap();
+    let t = fpga.configure(fitted).unwrap();
     assert_eq!(t, dev.full_config_time());
     let stats = fpga.stats();
     assert_eq!(stats.frames_written, dev.config_frames as u64);
+}
+
+/// Every ordered pair of `fits` (a design onto itself included): the
+/// frames a partial reconfiguration counts, and charges virtual time
+/// for, are exactly the frames `Bitstream::diff` would copy — on a clean
+/// live image, and on one whose upsets the switch must also rewrite.
+fn assert_switch_counts_match_diff(fits: &[Arc<FittedDesign>]) {
+    let dev = Device::orca_3t125();
+    let erased = dev.config_frames - 1;
+    for a in fits {
+        for b in fits {
+            let pair = format!("{} -> {}", a.design().name(), b.design().name());
+            let clean = a.bitstream().diff(&b.bitstream()).frames.len() as u32;
+            let mut fpga = Fpga::new(dev.clone());
+            fpga.configure(Arc::clone(a)).unwrap();
+            let (frames, t) = fpga.partial_reconfigure(Arc::clone(b)).unwrap();
+            assert_eq!(frames, clean, "clean {pair}");
+            assert_eq!(t, dev.frame_config_time(clean), "clean {pair}");
+
+            // An upset in a frame both designs leave erased, and a
+            // CRC-stealthy one in the first structural frame.
+            let mut fpga = Fpga::new(dev.clone());
+            fpga.configure(Arc::clone(a)).unwrap();
+            fpga.inject_upset(erased, 0, 0).unwrap();
+            fpga.inject_upset_stealthy(0, 1, 2).unwrap();
+            let upset = fpga.readback().unwrap().diff(&b.bitstream()).frames.len() as u32;
+            assert!(upset > clean, "the erased frame now differs: {pair}");
+            let (frames, t) = fpga.partial_reconfigure(Arc::clone(b)).unwrap();
+            assert_eq!(frames, upset, "upset {pair}");
+            assert_eq!(t, dev.frame_config_time(upset), "upset {pair}");
+            assert!(fpga.pending_upsets().is_empty(), "{pair}");
+            assert!(fpga.integrity_ok().unwrap(), "the switch heals: {pair}");
+        }
+    }
+}
+
+#[test]
+fn served_switch_frame_counts_equal_the_diff() {
+    let dev = Device::orca_3t125();
+    let fits: Vec<Arc<FittedDesign>> = JobKind::ALL
+        .iter()
+        .map(|k| Arc::new(fit(&k.build_design(), &dev).unwrap()))
+        .collect();
+    assert_switch_counts_match_diff(&fits);
+}
+
+#[test]
+fn counter_switch_frame_counts_equal_the_diff() {
+    // The counters the fabric's configuration unit tests switch between.
+    let fits: Vec<Arc<FittedDesign>> = (1..=3)
+        .map(|step| {
+            let mut d = Design::new(format!("counter_x{step}"));
+            let q = d.reg_feedback("q", 16, |d, q| d.add_const(q, step));
+            d.expose_output("count", q);
+            Arc::new(fit(&d, &Device::orca_3t125()).unwrap())
+        })
+        .collect();
+    assert_switch_counts_match_diff(&fits);
 }
 
 proptest! {
@@ -84,9 +144,9 @@ proptest! {
         let a = fit(&parametric_design(&t1), &dev).unwrap().bitstream();
         let b = fit(&parametric_design(&t2), &dev).unwrap().bitstream();
         let partial = a.diff(&b);
-        let mut patched = a.clone();
+        let mut patched = Bitstream::clone(&a);
         patched.apply(&partial);
-        prop_assert_eq!(&patched, &b);
+        prop_assert_eq!(&patched, &*b);
         prop_assert!(patched.verify());
         // And the diff is empty iff the designs are identical.
         prop_assert_eq!(partial.frames.is_empty(), t1 == t2);

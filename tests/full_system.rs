@@ -85,7 +85,7 @@ fn fpga_on_acb_runs_a_design_loaded_over_the_driver() {
     };
     d.expose_output("sum", q);
     let fitted = fit(&d, &Device::orca_3t125()).unwrap();
-    let t_cfg = acb.fpga_mut(0).configure(&fitted).unwrap();
+    let t_cfg = acb.fpga_mut(0).configure(fitted).unwrap();
     assert!(
         t_cfg > SimDuration::from_millis(30),
         "configuration is not free: {t_cfg}"
