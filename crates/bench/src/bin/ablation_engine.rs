@@ -82,7 +82,6 @@ fn main() -> std::process::ExitCode {
         ("fuse off", knob(|c| c.fuse = false)),
         ("adaptive off", knob(|c| c.adaptive = false)),
         ("match dispatch", knob(|c| c.dispatch = DispatchMode::Match)),
-        ("streaming on", knob(|c| c.streaming = true)),
         ("EngineConfig::unfused()", Some(EngineConfig::unfused())),
         ("EngineConfig::serial()", Some(EngineConfig::serial())),
         ("Design::optimized() before Sim::new", None),

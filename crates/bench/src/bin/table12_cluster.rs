@@ -27,7 +27,7 @@ use std::sync::Arc;
 const SEED: u64 = 0xA71A_0007;
 const SHARDS: usize = 4;
 const BOARDS: usize = 2;
-const SWEEP_JOBS: u64 = 1_000;
+const JOBS_PER_POINT: u64 = 1_000;
 const FRACTIONS: &[f64] = &[0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0];
 
 /// Calibrate each design family's pure service rate (jobs per virtual
@@ -125,7 +125,7 @@ fn run_point(fraction: f64, capacity: f64, routing: RoutingPolicy) -> Point {
     cluster.run_open_loop(LoadGen::new(LoadGenConfig {
         seed: SEED,
         rate,
-        jobs: SWEEP_JOBS,
+        jobs: JOBS_PER_POINT,
         ..LoadGenConfig::default()
     }));
     let s = cluster.stats();

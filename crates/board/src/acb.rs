@@ -151,19 +151,6 @@ impl Acb {
         &mut self.fpgas[idx]
     }
 
-    /// Advance every configured FPGA by `n` design-clock cycles, stepping
-    /// the four devices concurrently (their simulators are independent, so
-    /// the result is cycle-identical to stepping them one after another).
-    /// Returns one result per FPGA in matrix order; unconfigured devices
-    /// report [`ConfigError::NotConfigured`](atlantis_fabric::ConfigError)
-    /// and are left untouched.
-    pub fn run_all_cycles(
-        &mut self,
-        n: u64,
-    ) -> Vec<Result<SimDuration, atlantis_fabric::ConfigError>> {
-        atlantis_fabric::run_cycles_parallel(&mut self.fpgas, n)
-    }
-
     /// The role of an FPGA's logical I/O port.
     pub fn role(idx: usize) -> FpgaRole {
         FPGA_ROLES[idx]
@@ -519,47 +506,6 @@ mod tests {
         assert_eq!(Acb::role(1), FpgaRole::BackplaneA);
         assert_eq!(Acb::role(2), FpgaRole::BackplaneB);
         assert_eq!(Acb::role(3), FpgaRole::ExternalIo);
-    }
-
-    #[test]
-    fn run_all_cycles_matches_sequential_stepping() {
-        use atlantis_chdl::Design;
-        use atlantis_fabric::fit;
-
-        let make_board = || {
-            let mut acb = Acb::new();
-            for i in 0..4 {
-                let mut d = Design::new(format!("cnt{i}"));
-                let q = d.reg_feedback("q", 16, |d, q| d.add_const(q, i as u64 + 1));
-                d.expose_output("q", q);
-                let f = fit(&d, acb.fpga(i).device()).unwrap();
-                acb.fpga_mut(i).configure(f).unwrap();
-            }
-            acb
-        };
-
-        let mut par = make_board();
-        let mut seq = make_board();
-        let par_times = par.run_all_cycles(5_000);
-        for (i, par_time) in par_times.iter().enumerate() {
-            let t = seq.fpga_mut(i).run_cycles(5_000).unwrap();
-            assert_eq!(*par_time, Ok(t), "fpga {i} clock time");
-            assert_eq!(
-                par.fpga_mut(i).sim_mut().unwrap().get("q"),
-                seq.fpga_mut(i).sim_mut().unwrap().get("q"),
-                "fpga {i} is cycle-identical"
-            );
-        }
-    }
-
-    #[test]
-    fn run_all_cycles_reports_unconfigured_devices() {
-        let mut acb = Acb::new();
-        let results = acb.run_all_cycles(10);
-        assert_eq!(results.len(), 4);
-        assert!(results
-            .iter()
-            .all(|r| matches!(r, Err(atlantis_fabric::ConfigError::NotConfigured))));
     }
 
     #[test]

@@ -176,18 +176,6 @@ impl Aib {
         &mut self.fpgas[idx]
     }
 
-    /// Advance both Virtex FPGAs by `n` design-clock cycles concurrently
-    /// (cycle-identical to sequential stepping; see
-    /// [`atlantis_fabric::par`]). One result per FPGA; unconfigured
-    /// devices report
-    /// [`ConfigError::NotConfigured`](atlantis_fabric::ConfigError).
-    pub fn run_all_cycles(
-        &mut self,
-        n: u64,
-    ) -> Vec<Result<SimDuration, atlantis_fabric::ConfigError>> {
-        atlantis_fabric::run_cycles_parallel(&mut self.fpgas, n)
-    }
-
     /// The FPGA controlling a given channel.
     pub fn controlling_fpga(channel: usize) -> usize {
         channel / 2

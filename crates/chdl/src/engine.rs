@@ -27,9 +27,9 @@
 //! and unconsumed dsts are elided. With **adaptive sweeps** on
 //! (`adaptive` in [`EngineConfig`], the default) a dense dirty population
 //! switches the engine from per-op queue bookkeeping to straight-line
-//! sweeps of whole level ranges, and evals that keep escaping to sweeps
-//! lock a steady-state sweep mode. Every level is evaluated in one
-//! partition, in stream order.
+//! sweeps: a fully queued wide level cascades into a sweep of everything
+//! below it, and a half-queued wide level is swept with change detection.
+//! Every level is evaluated in one partition, in stream order.
 //!
 //! The same machinery makes clock edges incremental: committing a register
 //! or a memory write marks only the consuming cone dirty, so a design where
@@ -222,27 +222,20 @@ pub enum DispatchMode {
 
 /// Knobs controlling how a design is lowered onto the compiled engine.
 ///
-/// The default (`fuse` and `adaptive` on, [`DispatchMode::Auto`], no
-/// `streaming`) is what `Sim::new` uses; `Sim::with_config` takes any
-/// other configuration as a value.
+/// The default (`fuse` and `adaptive` on, [`DispatchMode::Auto`]) is what
+/// `Sim::new` uses; `Sim::with_config` takes any other configuration as a
+/// value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Run the peephole + superop fusion pass over the lowered stream.
     pub fuse: bool,
-    /// Adaptive level sweeps: a level whose dirty population is dense is
-    /// swept straight-line instead of drained per op, and evals that keep
-    /// escaping to sweeps lock a steady-state sweep mode. Off, every eval
-    /// drains the per-level dirty queues op by op.
+    /// Adaptive level sweeps: a wide level whose dirty population is dense
+    /// is swept straight-line instead of drained per op (a fully queued
+    /// one cascades through every deeper level). Off, every eval drains
+    /// the per-level dirty queues op by op.
     pub adaptive: bool,
     /// Dispatch backend: per-op `match` or compiled closure chains.
     pub dispatch: DispatchMode,
-    /// Force full-stream sweeps on every eval, skipping dirty tracking
-    /// entirely. For workloads known to re-evaluate most of the fabric
-    /// each cycle (spill bursts, full-bank DAQ scans) the per-op queue
-    /// bookkeeping costs more than the ops; this pins the engine to the
-    /// straight-line sweep the dispatch tiers compile for. Sparse
-    /// workloads regress badly under it — leave off unless profiled.
-    pub streaming: bool,
 }
 
 impl Default for EngineConfig {
@@ -251,7 +244,6 @@ impl Default for EngineConfig {
             fuse: true,
             adaptive: true,
             dispatch: DispatchMode::Auto,
-            streaming: false,
         }
     }
 }
@@ -265,7 +257,6 @@ impl EngineConfig {
             fuse: true,
             adaptive: false,
             dispatch: DispatchMode::Match,
-            streaming: false,
         }
     }
 
@@ -276,7 +267,6 @@ impl EngineConfig {
             fuse: false,
             adaptive: false,
             dispatch: DispatchMode::Match,
-            streaming: false,
         }
     }
 }
@@ -531,20 +521,6 @@ const CASCADE_MIN_SPAN: usize = 128;
 /// A level at least half-queued is swept densely (with change detection)
 /// instead of drained per-op, when at least this many ops wide.
 const DENSE_MIN_SPAN: usize = 64;
-/// A straight-line sweep of the remaining stream replaces queue draining
-/// when at least `1/SWEEP_DENSITY` of it is already queued — per-op queue
-/// bookkeeping (flag writes, successor walks, dedupe checks) costs about
-/// this multiple of a raw execute-and-store.
-const SWEEP_DENSITY: usize = 3;
-/// This many *consecutive* density escapes lock the engine into steady-state
-/// sweep mode: per-edge consumer walks and queue pushes are replaced by an
-/// O(1) shallowest-dirty-level update, since the next eval straight-lines
-/// the stream anyway.
-const SWEEP_ENTER: u32 = 4;
-/// Sweeps held in steady-state mode before dropping back to fine-grained
-/// dirty tracking for one eval to re-measure density (hysteresis: one
-/// bookkeeping-paying cycle per `SWEEP_HOLD` amortizes to noise).
-const SWEEP_HOLD: u32 = 64;
 /// `DispatchMode::Auto` compiles the stream to threaded closure chains at
 /// this op count; below it the per-op `match` path runs unchanged (one
 /// boxed closure per op never amortizes on tiny cones).
@@ -575,8 +551,8 @@ pub(crate) struct ExecState<'a> {
 /// operand slots, masks, shifts and immediates captured as constants. The
 /// *caller* stores the result (and runs change detection where the path
 /// needs it), so one closure serves the incremental and dense paths
-/// alike. `Send + Sync` keeps `Sim` usable from worker threads (the
-/// fabric steps each device on its own rayon worker).
+/// alike. `Send + Sync` keeps `Sim` movable into the runtime's per-board
+/// worker threads, each of which owns its ACB's FPGAs.
 type OpFn = Box<dyn Fn(&[u64], &[Vec<u64>]) -> u64 + Send + Sync>;
 
 /// One compiled run block: straight-line execution of a same-opcode op
@@ -820,23 +796,6 @@ pub(crate) struct CompiledEngine {
     level_start: Vec<u32>,
     /// Dense/cascade sweep heuristics enabled (`EngineConfig::adaptive`).
     adaptive: bool,
-    /// Pinned full-stream sweeps (`EngineConfig::streaming`): every eval
-    /// straight-lines the whole stream, no dirty tracking consulted.
-    streaming: bool,
-    /// Per-node minimum consumer level (`levels` when unconsumed) — lets
-    /// sweep-mode marking run in O(1) instead of walking the consumer CSR.
-    node_min_lvl: Vec<u32>,
-    /// Per-memory minimum async-read-port level (same purpose).
-    mem_min_lvl: Vec<u32>,
-    /// Steady-state streaming: marks collapse to a shallowest-level update
-    /// and every eval straight-lines the stream from there.
-    sweep_mode: bool,
-    /// Shallowest level marked since the last sweep (`levels` when clean).
-    sweep_first: u32,
-    /// Consecutive density escapes (sweep mode engages at `SWEEP_ENTER`).
-    sweep_streak: u32,
-    /// Sweeps left before dropping out to re-measure density.
-    sweep_left: u32,
 
     // ---- direct-threaded dispatch ----
     /// Whether this stream dispatches through compiled closure chains
@@ -1024,13 +983,6 @@ impl CompiledEngine {
             mem_cons: vec![Vec::new(); mem_count],
             level_start: Vec::new(),
             adaptive: config.adaptive,
-            streaming: config.streaming,
-            node_min_lvl: Vec::new(),
-            mem_min_lvl: Vec::new(),
-            sweep_mode: false,
-            sweep_first: 0,
-            sweep_streak: 0,
-            sweep_left: 0,
             use_threaded: false,
             threaded: ProgramCache::default(),
             computed: Vec::new(),
@@ -1125,26 +1077,6 @@ impl CompiledEngine {
                 eng.mem_cons[eng.op_c[i] as usize].push(i as u32);
             }
         }
-
-        // Shallowest consumer level per node / memory, for O(1) marking in
-        // steady-state sweep mode.
-        let mut node_min_lvl = vec![level_count as u32; n];
-        for (node, ml) in node_min_lvl.iter_mut().enumerate() {
-            let lo = eng.cons_start[node] as usize;
-            let hi = eng.cons_start[node + 1] as usize;
-            for &op in &eng.cons[lo..hi] {
-                *ml = (*ml).min(eng.op_level[op as usize]);
-            }
-        }
-        eng.node_min_lvl = node_min_lvl;
-        let mut mem_min_lvl = vec![level_count as u32; mem_count];
-        for (m, ml) in mem_min_lvl.iter_mut().enumerate() {
-            for &op in &eng.mem_cons[m] {
-                *ml = (*ml).min(eng.op_level[op as usize]);
-            }
-        }
-        eng.mem_min_lvl = mem_min_lvl;
-        eng.sweep_first = level_count as u32;
 
         let ops_final = eng.op_code.len();
         eng.use_threaded = match config.dispatch {
@@ -1806,17 +1738,6 @@ impl CompiledEngine {
         if self.full_dirty {
             return; // everything recomputes anyway
         }
-        if self.sweep_mode {
-            // Steady-state streaming: the next eval straight-lines every
-            // level from the shallowest mark, so per-consumer queueing
-            // would be wasted work.
-            let l = self.node_min_lvl[node as usize];
-            if l < self.sweep_first {
-                self.sweep_first = l;
-                self.any_dirty = true;
-            }
-            return;
-        }
         let lo = self.cons_start[node as usize] as usize;
         let hi = self.cons_start[node as usize + 1] as usize;
         for j in lo..hi {
@@ -1833,14 +1754,6 @@ impl CompiledEngine {
     /// committed write).
     fn mark_mem_dirty(&mut self, mem: u32) {
         if self.full_dirty {
-            return;
-        }
-        if self.sweep_mode {
-            let l = self.mem_min_lvl[mem as usize];
-            if l < self.sweep_first {
-                self.sweep_first = l;
-                self.any_dirty = true;
-            }
             return;
         }
         // Iterate by index: `mem_cons` and the queue state are disjoint
@@ -1905,27 +1818,6 @@ impl CompiledEngine {
             self.exec_levels_raw(prog, 0, vals, mems);
             self.full_dirty = false;
             self.reset_dirty();
-            self.sweep_first = self.level_queues.len() as u32;
-            return;
-        }
-        if self.streaming {
-            self.exec_levels_raw(prog, 0, vals, mems);
-            self.reset_dirty();
-            self.sweep_first = self.level_queues.len() as u32;
-            return;
-        }
-        if self.sweep_mode {
-            self.exec_levels_raw(prog, self.sweep_first as usize, vals, mems);
-            self.sweep_first = self.level_queues.len() as u32;
-            self.any_dirty = false;
-            self.sweep_left -= 1;
-            if self.sweep_left == 0 {
-                // Drop back to fine-grained tracking to re-measure dirty
-                // density (the workload may have gone sparse); a
-                // still-dense stream re-enters after SWEEP_ENTER escapes.
-                self.sweep_mode = false;
-                self.sweep_streak = 0;
-            }
             return;
         }
         if !self.adaptive {
@@ -1936,35 +1828,6 @@ impl CompiledEngine {
             return;
         }
         let levels = self.level_queues.len();
-        // Global density check: the queues only hold the *direct* consumers
-        // of what changed so far, but when those alone already cover a big
-        // fraction of the remaining stream, propagation will reach most of
-        // it anyway — a straight-line sweep from the shallowest dirty level
-        // beats paying queue bookkeeping on every op.
-        let mut queued_total = 0;
-        let mut first_dirty = levels;
-        for lvl in 0..levels {
-            let q = self.level_queues[lvl].len();
-            if q > 0 {
-                queued_total += q;
-                first_dirty = first_dirty.min(lvl);
-            }
-        }
-        if first_dirty < levels {
-            let rest = self.op_code.len() - self.level_start[first_dirty] as usize;
-            if queued_total * SWEEP_DENSITY >= rest {
-                self.exec_levels_raw(prog, first_dirty, vals, mems);
-                self.reset_dirty();
-                self.sweep_streak += 1;
-                if self.sweep_streak >= SWEEP_ENTER {
-                    self.sweep_mode = true;
-                    self.sweep_left = SWEEP_HOLD;
-                    self.sweep_first = levels as u32;
-                }
-                return;
-            }
-        }
-        self.sweep_streak = 0;
         let mut cascade_from = None;
         for lvl in 0..levels {
             let queued = self.level_queues[lvl].len();

@@ -1177,15 +1177,6 @@ mod tests {
                 dispatch: crate::DispatchMode::Threaded,
                 ..EngineConfig::default()
             },
-            EngineConfig {
-                streaming: true,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                streaming: true,
-                dispatch: crate::DispatchMode::Threaded,
-                ..EngineConfig::default()
-            },
         ];
         let mut oracle = Sim::with_mode(&d, ExecMode::Interpreted);
         let mut sims: Vec<Sim> = (configs.iter())

@@ -25,8 +25,8 @@ use netgen::{
 use proptest::prelude::*;
 
 /// Every engine tuning the equivalence suites co-simulate against the
-/// interpreter: fusion, adaptive sweeps, dispatch backend and streaming.
-fn engine_matrix() -> [EngineConfig; 10] {
+/// interpreter: fusion, adaptive sweeps and dispatch backend.
+fn engine_matrix() -> [EngineConfig; 8] {
     [
         EngineConfig::default(), // fused, adaptive, auto dispatch
         EngineConfig::unfused(), // raw stream, per-op, match
@@ -44,7 +44,6 @@ fn engine_matrix() -> [EngineConfig; 10] {
             fuse: false,
             adaptive: true,
             dispatch: DispatchMode::Threaded, // adaptive threaded, raw stream
-            ..EngineConfig::default()
         },
         EngineConfig::serial(), // per-op drain, match
         EngineConfig {
@@ -55,16 +54,6 @@ fn engine_matrix() -> [EngineConfig; 10] {
         EngineConfig {
             adaptive: false,
             dispatch: DispatchMode::Auto, // per-op drain, auto dispatch
-            ..EngineConfig::default()
-        },
-        EngineConfig {
-            streaming: true, // pinned full-stream sweeps, match
-            dispatch: DispatchMode::Match,
-            ..EngineConfig::default()
-        },
-        EngineConfig {
-            streaming: true, // pinned full-stream sweeps, threaded
-            dispatch: DispatchMode::Threaded,
             ..EngineConfig::default()
         },
     ]
@@ -137,8 +126,8 @@ proptest! {
     /// co-simulation on netlists with deep combinational chains and
     /// memory traffic. Every 13th stepped cycle holds the inputs and
     /// instead pokes every word of memory `m` through the backdoor, which
-    /// the sweep-mode lock, streaming, per-op draining and the threaded
-    /// program's drop-and-rebuild must all see. Every engine tuning must
+    /// the adaptive sweeps, per-op draining and the threaded program's
+    /// drop-and-rebuild must all see. Every engine tuning must
     /// be bit-exact with the interpreter oracle, and the deep chain
     /// guarantees the fusion pass actually fires.
     #[test]
@@ -274,7 +263,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The adaptive evaluator's wide-level branches — the cascade into a
     /// straight-line sweep (a fully queued level of at least
@@ -283,20 +272,27 @@ proptest! {
     /// TRT events, but the random netlists above never build levels that
     /// wide. The wide design reaches both every few cycles: each cycle
     /// changes a random subset of its inputs, queueing half or all of a
-    /// 160-op level. Every engine tuning must match the interpreter.
+    /// 160-op level. The random netlist hung below it puts short mixed-op
+    /// segments on the wide levels, so a cascade entering mid-stream must
+    /// also run the packed tail blocks pending at its entry level. Every
+    /// engine tuning must match the interpreter.
     #[test]
-    fn wide_level_sweeps_match_the_oracle(seed in any::<u64>()) {
-        let (design, outputs) = build_wide_design();
+    fn wide_level_sweeps_match_the_oracle(
+        recipes in proptest::collection::vec(
+            (any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>()), 8..40),
+        seed in any::<u64>(),
+    ) {
+        let (design, outputs) = build_wide_design(&recipes);
         let inputs = wide_inputs();
         let mut oracle = Sim::with_mode(&design, ExecMode::Interpreted);
         let mut sims: Vec<Sim> = engine_matrix()
             .iter()
             .map(|&c| Sim::with_config(&design, ExecMode::Compiled, c))
             .collect();
-        // The shape the branches need: fusion merges nothing, so every
-        // level keeps exactly `WIDE_SPAN` ops.
+        // The shape the branches need: fusion merges none of the wide
+        // ops, so every wide level keeps at least `WIDE_SPAN` ops.
         let stats = sims[0].engine_stats().unwrap();
-        prop_assert_eq!(stats.ops_final, WIDE_SPAN * (WIDE_LEVELS + WIDE_TAIL));
+        prop_assert!(stats.ops_final >= WIDE_SPAN * (WIDE_LEVELS + WIDE_TAIL));
 
         let mut stim = XorShift(seed);
         for cycle in 0..200u32 {
@@ -319,6 +315,10 @@ proptest! {
                         "config {} vs oracle: {} cycle {}", k, name, cycle
                     );
                 }
+            }
+            oracle.step();
+            for sim in &mut sims {
+                sim.step();
             }
         }
     }

@@ -40,15 +40,22 @@ pub fn build_design(recipes: &[Recipe]) -> (Design, Vec<String>) {
 /// Like [`build_design`], then grow a deep combinational chain of `depth`
 /// ops from the pool, exposed as `chain_out`. The chain drives level
 /// counts far past the recipe mix alone, exercising the engines'
-/// dense/cascade sweeps and steady-state sweep mode, and its op→op runs
-/// (NOT→AND, const sides, slice/concat re-packs) give the fusion pass
-/// real absorption targets in a randomized setting.
+/// per-level drains and dense sweeps, and its op→op runs (NOT→AND, const
+/// sides, slice/concat re-packs) give the fusion pass real absorption
+/// targets in a randomized setting.
 #[allow(dead_code)] // each equivalence suite uses its own subset of netgen
 pub fn build_design_with_chain(recipes: &[Recipe], depth: usize) -> (Design, Vec<String>) {
     let (mut d, mut outputs, pool) = build_pool(recipes);
+    grow_chain(&mut d, &pool, depth, &mut outputs);
+    (d, outputs)
+}
+
+/// Grow a `depth`-op mixed chain seeded from the pool's freshest entry,
+/// one fusion shape per step, exposed as `chain_out`.
+fn grow_chain(d: &mut Design, pool: &[Signal], depth: usize, outputs: &mut Vec<String>) {
     let seed = pool[pool.len() - 1];
-    let mut cur = fit(&mut d, seed, IN_WIDTH);
-    let x = fit(&mut d, pool[0], IN_WIDTH);
+    let mut cur = fit(d, seed, IN_WIDTH);
+    let x = fit(d, pool[0], IN_WIDTH);
     for k in 0..depth {
         cur = match k % 10 {
             0 => d.add(cur, x),
@@ -78,7 +85,7 @@ pub fn build_design_with_chain(recipes: &[Recipe], depth: usize) -> (Design, Vec
                 let cb = d.bit(cur, ((k / 7) % usize::from(IN_WIDTH)) as u8);
                 let xb = d.bit(x, (k % usize::from(IN_WIDTH)) as u8);
                 let g = d.and(cb, xb);
-                fit(&mut d, g, IN_WIDTH)
+                fit(d, g, IN_WIDTH)
             }
             7 => {
                 // A 1-bit slice selecting a mux — the MUX_BIT shape.
@@ -103,7 +110,6 @@ pub fn build_design_with_chain(recipes: &[Recipe], depth: usize) -> (Design, Vec
     }
     d.expose_output("chain_out", cur);
     outputs.push("chain_out".to_string());
-    (d, outputs)
 }
 
 /// Like [`build_design`], then graft `shapes` deliberately redundant
@@ -195,20 +201,29 @@ pub const WIDE_LEVELS: usize = 4;
 #[allow(dead_code)] // each equivalence suite uses its own subset of netgen
 pub const WIDE_TAIL: usize = 12;
 
+/// Depth of the mixed-op chain [`build_wide_design`] hangs below its pool.
+#[allow(dead_code)] // each equivalence suite uses its own subset of netgen
+pub const WIDE_CHAIN: usize = 40;
+
 /// A design built for the adaptive evaluator's wide-level branches:
 /// [`WIDE_LEVELS`] input-fed levels, then a [`WIDE_TAIL`]-level tail, every
-/// level exactly [`WIDE_SPAN`] ops wide. Column `i` of input level `k`
-/// combines column `i` of level `k - 1` with `w{k}` (first half) or `v{k}`
-/// (second half), so changing one input queues half a level (the dense
-/// sweep) and changing both queues all of it (the cascade). Each tail op
-/// mixes its column with the next one, so a change widens by one column
-/// per level. The tail keeps the stream behind any input level over three
-/// times the 160 ops two inputs can queue there, so the global density
-/// escape never pre-empts the per-level branches. Ops alternate between
-/// ADD and XOR, which fusion never merges, and the last level is exposed
-/// as outputs `out{i}`.
+/// level [`WIDE_SPAN`] ops wide. Column `i` of input level `k` combines
+/// column `i` of level `k - 1` with `w{k}` (first half) or `v{k}` (second
+/// half), so changing one input queues half a level (the dense sweep) and
+/// changing both queues all of it (the cascade). Each tail op mixes its
+/// column with the next one, so a change widens by one column per level.
+/// Ops alternate between ADD and XOR, which fusion never merges, and the
+/// last level is exposed as outputs `out{i}`.
+///
+/// Below the tail hangs a random netlist: the recipe pool of
+/// [`build_design`], its four base signals taken from registered tail
+/// outputs instead of inputs, then a [`WIDE_CHAIN`]-op mixed chain. The
+/// registers restart the pool's logic at level 0, so its short mixed-op
+/// segments share levels with the wide ones, and a cascade entering
+/// mid-stream must run the packed tail blocks pending at its entry level
+/// as well as the wide levels' run blocks.
 #[allow(dead_code)] // each equivalence suite uses its own subset of netgen
-pub fn build_wide_design() -> (Design, Vec<String>) {
+pub fn build_wide_design(recipes: &[Recipe]) -> (Design, Vec<String>) {
     let mut d = Design::new("wide");
     let half = WIDE_SPAN / 2;
     let mut cols: Vec<Signal> = Vec::new();
@@ -241,10 +256,16 @@ pub fn build_wide_design() -> (Design, Vec<String>) {
             })
             .collect();
     }
-    let outputs: Vec<String> = (0..WIDE_SPAN).map(|i| format!("out{i}")).collect();
+    let mut outputs: Vec<String> = (0..WIDE_SPAN).map(|i| format!("out{i}")).collect();
     for (name, &sig) in outputs.iter().zip(&cols) {
         d.expose_output(name, sig);
     }
+    let base = (0..N_INPUTS)
+        .map(|i| d.reg(format!("tap{i}"), cols[i * WIDE_SPAN / N_INPUTS]))
+        .collect();
+    let (pool_outputs, pool) = grow_pool(&mut d, base, recipes);
+    outputs.extend(pool_outputs);
+    grow_chain(&mut d, &pool, WIDE_CHAIN, &mut outputs);
     (d, outputs)
 }
 
@@ -258,9 +279,18 @@ pub fn wide_inputs() -> Vec<String> {
 
 fn build_pool(recipes: &[Recipe]) -> (Design, Vec<String>, Vec<Signal>) {
     let mut d = Design::new("generated");
-    let mut pool: Vec<Signal> = (0..N_INPUTS)
+    let base = (0..N_INPUTS)
         .map(|i| d.input(format!("in{i}"), IN_WIDTH))
         .collect();
+    let (outputs, pool) = grow_pool(&mut d, base, recipes);
+    (d, outputs, pool)
+}
+
+/// Grow the recipe pool from `base` signals (plus two constants), wire a
+/// memory write port from its freshest entries and expose a rolling
+/// subset as outputs. Returns the output names and the pool.
+fn grow_pool(d: &mut Design, base: Vec<Signal>, recipes: &[Recipe]) -> (Vec<String>, Vec<Signal>) {
+    let mut pool = base;
     let c1 = d.lit(0x5a5, IN_WIDTH);
     let c2 = d.lit(1, IN_WIDTH);
     pool.push(c1);
@@ -276,8 +306,8 @@ fn build_pool(recipes: &[Recipe]) -> (Design, Vec<String>, Vec<Signal>) {
         let rb = pool[b_sel as usize % pool.len()];
         // Binary components need matching widths; coerce to the nominal
         // width (slices keep narrower signals flowing through the pool).
-        let a = fit(&mut d, ra, IN_WIDTH);
-        let b = fit(&mut d, rb, IN_WIDTH);
+        let a = fit(d, ra, IN_WIDTH);
+        let b = fit(d, rb, IN_WIDTH);
         let sig = match kind % 19 {
             0 => d.add(a, b),
             1 => d.sub(a, b),
@@ -340,10 +370,10 @@ fn build_pool(recipes: &[Recipe]) -> (Design, Vec<String>, Vec<Signal>) {
                 let g12 = d.reduce_xor(b);
                 fb.transition(s0, g01, s1);
                 fb.transition(s1, g12, s2);
-                fb.always(&mut d, s2, s0);
-                let fsm = fb.build(&mut d);
+                fb.always(d, s2, s0);
+                let fsm = fb.build(d);
                 fsm.moore_output(
-                    &mut d,
+                    d,
                     &[u64::from(aux), 0x0F0, 0x5A5 ^ u64::from(aux)],
                     IN_WIDTH,
                 )
@@ -362,10 +392,10 @@ fn build_pool(recipes: &[Recipe]) -> (Design, Vec<String>, Vec<Signal>) {
     let waddr_src = pool[n - 1];
     let wdata = pool[n - 2];
     let we_src = pool[n - 3];
-    let waddr_full = fit(&mut d, waddr_src, IN_WIDTH);
+    let waddr_full = fit(d, waddr_src, IN_WIDTH);
     let waddr = d.slice(waddr_full, 0, 5);
     let we = d.reduce_or(we_src);
-    let wdata12 = fit(&mut d, wdata, IN_WIDTH);
+    let wdata12 = fit(d, wdata, IN_WIDTH);
     d.write_port(mem, waddr, wdata12, we);
 
     // Always observe at least one signal.
@@ -373,7 +403,7 @@ fn build_pool(recipes: &[Recipe]) -> (Design, Vec<String>, Vec<Signal>) {
         d.expose_output("o_last", pool[n - 1]);
         outputs.push("o_last".to_string());
     }
-    (d, outputs, pool)
+    (outputs, pool)
 }
 
 /// Cheap deterministic stimulus shared across all sims in a case.

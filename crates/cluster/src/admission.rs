@@ -70,36 +70,6 @@ pub struct Overloaded {
     pub retry_after: SimDuration,
 }
 
-/// Adaptive watermark tunables: scale the class watermarks by how far
-/// the measured queue-wait tail sits from a target, instead of fixed
-/// fill fractions. Off by default — the fixed behaviour is the
-/// baseline every determinism pin was captured against.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveWatermarks {
-    /// Enable tracking (`false` keeps the fixed watermarks untouched).
-    pub enabled: bool,
-    /// The queue-wait p99 the controller steers toward.
-    pub target_p99: SimDuration,
-    /// Hard floor on the scale factor — watermarks never collapse
-    /// below this fraction of their configured values, so a latency
-    /// spike cannot shed everything.
-    pub min_scale: f64,
-    /// Hard ceiling on the scale factor (watermarks never exceed their
-    /// configured values times this; capped at a fill of 1.0).
-    pub max_scale: f64,
-}
-
-impl Default for AdaptiveWatermarks {
-    fn default() -> Self {
-        AdaptiveWatermarks {
-            enabled: false,
-            target_p99: SimDuration::from_millis(50),
-            min_scale: 0.5,
-            max_scale: 1.2,
-        }
-    }
-}
-
 /// Admission tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
@@ -110,8 +80,6 @@ pub struct AdmissionConfig {
     pub low_watermark: f64,
     /// Queue-depth fraction past which `Normal` jobs shed.
     pub normal_watermark: f64,
-    /// Measured-tail tracking of the class watermarks (off by default).
-    pub adaptive: AdaptiveWatermarks,
 }
 
 impl Default for AdmissionConfig {
@@ -120,20 +88,16 @@ impl Default for AdmissionConfig {
             tenant_quota: 0,
             low_watermark: 0.70,
             normal_watermark: 0.85,
-            adaptive: AdaptiveWatermarks::default(),
         }
     }
 }
 
-/// The cluster-wide admission state: per-tenant outstanding counts plus
-/// the watermarks currently in force (the configured ones, unless
-/// adaptive tracking has scaled them). Built with [`new`](Self::new) —
-/// no `Default`, because zeroed watermarks would shed everything.
+/// The cluster-wide admission state: the tunables plus per-tenant
+/// outstanding counts. Built with [`new`](Self::new) — no `Default`,
+/// because zeroed watermarks would shed everything.
 #[derive(Debug)]
 pub struct AdmissionController {
     cfg: AdmissionConfig,
-    low: f64,
-    normal: f64,
     outstanding: Vec<u64>,
 }
 
@@ -142,8 +106,6 @@ impl AdmissionController {
     pub fn new(cfg: AdmissionConfig) -> Self {
         AdmissionController {
             cfg,
-            low: cfg.low_watermark,
-            normal: cfg.normal_watermark,
             outstanding: Vec::new(),
         }
     }
@@ -151,29 +113,6 @@ impl AdmissionController {
     /// The tunables in force.
     pub fn config(&self) -> AdmissionConfig {
         self.cfg
-    }
-
-    /// The `(low, normal)` watermarks currently applied — the
-    /// configured pair unless [`adapt`](Self::adapt) has scaled them.
-    pub fn watermarks(&self) -> (f64, f64) {
-        (self.low, self.normal)
-    }
-
-    /// Track a measured queue-wait p99 (picoseconds, as the shard
-    /// histograms report): when adaptive watermarks are enabled, scale
-    /// both class watermarks by `target / measured`, clamped to the
-    /// configured band — a tail above target tightens admission, a tail
-    /// below it re-opens. A no-op when disabled or before the histogram
-    /// has data.
-    pub fn adapt(&mut self, measured_p99_ps: f64) {
-        let a = self.cfg.adaptive;
-        if !a.enabled || measured_p99_ps <= 0.0 {
-            return;
-        }
-        let scale =
-            (a.target_p99.as_picos() as f64 / measured_p99_ps).clamp(a.min_scale, a.max_scale);
-        self.low = (self.cfg.low_watermark * scale).min(1.0);
-        self.normal = (self.cfg.normal_watermark * scale).min(1.0);
     }
 
     /// Decide whether a job of `priority` from `tenant` may enter a
@@ -196,8 +135,8 @@ impl AdmissionController {
         let fill = depth as f64 / capacity.max(1) as f64;
         let watermark = match priority {
             Priority::High => 1.0,
-            Priority::Normal => self.normal,
-            Priority::Low => self.low,
+            Priority::Normal => self.cfg.normal_watermark,
+            Priority::Low => self.cfg.low_watermark,
         };
         if fill >= watermark {
             return Err(ShedReason::ClassShed);
@@ -301,42 +240,5 @@ mod tests {
         for (i, r) in ShedReason::ALL.iter().enumerate() {
             assert_eq!(r.index(), i);
         }
-    }
-
-    #[test]
-    fn adaptive_watermarks_track_the_measured_tail() {
-        let target = SimDuration::from_millis(50);
-        let mut a = AdmissionController::new(AdmissionConfig {
-            adaptive: AdaptiveWatermarks {
-                enabled: true,
-                target_p99: target,
-                ..AdaptiveWatermarks::default()
-            },
-            ..AdmissionConfig::default()
-        });
-        assert_eq!(a.watermarks(), (0.70, 0.85));
-        // Tail at 2× target: both watermarks halve → Low sheds earlier.
-        a.adapt(2.0 * target.as_picos() as f64);
-        let (low, normal) = a.watermarks();
-        assert!((low - 0.35).abs() < 1e-9 && (normal - 0.425).abs() < 1e-9);
-        assert_eq!(
-            a.check(0, Priority::Low, 40, 100),
-            Err(ShedReason::ClassShed)
-        );
-        // Tail well under target: the ceiling caps re-opening.
-        a.adapt(0.1 * target.as_picos() as f64);
-        let (low, normal) = a.watermarks();
-        assert!((low - 0.70 * 1.2).abs() < 1e-9 && (normal - 1.0).abs() < 1e-9);
-        // The floor holds under an extreme spike.
-        a.adapt(1e3 * target.as_picos() as f64);
-        assert!((a.watermarks().0 - 0.35).abs() < 1e-9);
-    }
-
-    #[test]
-    fn adaptive_tracking_is_inert_by_default() {
-        let mut a = AdmissionController::new(AdmissionConfig::default());
-        a.adapt(1e12);
-        a.adapt(1.0);
-        assert_eq!(a.watermarks(), (0.70, 0.85), "disabled flag never moves");
     }
 }

@@ -39,9 +39,7 @@ pub mod router;
 pub mod shard;
 pub mod steal;
 
-pub use admission::{
-    AdaptiveWatermarks, AdmissionConfig, AdmissionController, Overloaded, ShedReason,
-};
+pub use admission::{AdmissionConfig, AdmissionController, Overloaded, ShedReason};
 pub use loadgen::{
     run_closed_loop, Arrival, ClosedLoopConfig, ClosedLoopReport, LoadGen, LoadGenConfig,
 };
@@ -68,7 +66,8 @@ pub struct ClusterConfig {
     pub shard: ShardConfig,
     /// Heterogeneous fleets: `(shard index, config)` pairs replacing the
     /// default for specific shards — different board counts, different
-    /// fabric families. Indices must be in range.
+    /// fabric families. An index past `shards` makes [`Cluster::new`]
+    /// fail with [`RuntimeError::NoSuchShard`].
     pub shard_overrides: Vec<(usize, ShardConfig)>,
     /// How jobs are routed to shards.
     pub routing: RoutingPolicy,
@@ -178,15 +177,16 @@ pub struct Cluster {
 impl Cluster {
     /// Build a cluster: one shared prefit bitstream cache per fabric
     /// family, `cfg.shards` shard hosts, a router and an admission
-    /// controller.
+    /// controller. Fails with [`RuntimeError::NoDevices`] for a fleet of
+    /// zero shards and [`RuntimeError::NoSuchShard`] for a
+    /// `shard_overrides` index out of range.
     pub fn new(cfg: ClusterConfig) -> Result<Self, RuntimeError> {
         if cfg.shards == 0 {
             return Err(RuntimeError::NoDevices);
         }
         let mut shard_cfgs = vec![cfg.shard; cfg.shards];
         for &(i, sc) in &cfg.shard_overrides {
-            assert!(i < cfg.shards, "shard override {i} out of range");
-            shard_cfgs[i] = sc;
+            *shard_cfgs.get_mut(i).ok_or(RuntimeError::NoSuchShard(i))? = sc;
         }
         // One fit pass per fabric family present in the fleet: bitstream
         // fits are device-specific, so a heterogeneous cluster keeps one
@@ -293,10 +293,6 @@ impl Cluster {
         let views = self.views(now);
         let (shard, route) = self.router.route(spec.kind, &views);
         let view = &views[shard];
-        // Adaptive watermarks (when enabled) track the routed shard's
-        // measured queue-wait p99; a no-op under the fixed default.
-        self.admission
-            .adapt(self.shards[shard].engine.stats().queue_wait.p99());
         if let Err(reason) =
             self.admission
                 .check(tenant, priority, view.queue_depth, view.queue_capacity)
@@ -636,7 +632,17 @@ mod tests {
             shards: 0,
             ..ClusterConfig::default()
         };
-        assert!(Cluster::new(cfg).is_err());
+        assert!(matches!(Cluster::new(cfg), Err(RuntimeError::NoDevices)));
+        // An override naming a shard the fleet lacks is refused, not a panic.
+        let cfg = ClusterConfig {
+            shards: 2,
+            shard_overrides: vec![(2, ShardConfig::default())],
+            ..ClusterConfig::default()
+        };
+        assert!(matches!(
+            Cluster::new(cfg),
+            Err(RuntimeError::NoSuchShard(2))
+        ));
     }
 
     #[test]

@@ -34,8 +34,6 @@ pub enum RoutingPolicy {
         /// shard is considered overloaded and the job spills.
         spill_threshold: f64,
     },
-    /// Always the least-loaded shard (ignores cache affinity).
-    LeastLoaded,
     /// Uniform random shard from a seeded stream — the control arm the
     /// affinity policy is benchmarked against.
     Random {
@@ -117,8 +115,7 @@ pub enum RouteKind {
     Affinity,
     /// The preferred shard was overloaded; the job spilled elsewhere.
     Spill,
-    /// Policy was [`RoutingPolicy::LeastLoaded`] or
-    /// [`RoutingPolicy::Random`].
+    /// Policy was [`RoutingPolicy::Random`].
     Direct,
 }
 
@@ -165,9 +162,6 @@ impl Router {
                     };
                     (views[spill].index, kind)
                 }
-            }
-            RoutingPolicy::LeastLoaded => {
-                (views[Self::least_loaded(views)].index, RouteKind::Direct)
             }
             RoutingPolicy::Random { .. } => {
                 let rng = self.rng.as_mut().expect("random policy keeps a stream");

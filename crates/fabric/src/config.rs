@@ -280,8 +280,7 @@ impl Fpga {
 
     /// Step the running design `n` cycles and return the virtual time
     /// consumed at the current design clock. Uses the simulator's fused
-    /// batch path ([`Sim::run_batch`]); see [`crate::par`] for stepping
-    /// several devices concurrently.
+    /// batch path ([`Sim::run_batch`]).
     pub fn run_cycles(&mut self, n: u64) -> Result<SimDuration, ConfigError> {
         let clock_time = self.clock.cycles(n);
         let loaded = self.loaded.as_mut().ok_or(ConfigError::NotConfigured)?;

@@ -36,7 +36,6 @@ pub mod clock;
 pub mod config;
 pub mod device;
 pub mod fit;
-pub mod par;
 pub mod scrub;
 
 pub use bitstream::{Bitstream, Frame, PartialBitstream};
@@ -44,7 +43,6 @@ pub use clock::ProgrammableClock;
 pub use config::{ConfigError, Fpga};
 pub use device::Device;
 pub use fit::{fit, FitError, FitReport, FittedDesign};
-pub use par::run_cycles_parallel;
 pub use scrub::{CrcCheck, ScrubReport, Upset};
 
 /// Commonly used re-exports.

@@ -35,6 +35,8 @@ pub enum RuntimeError {
     NoDevices,
     /// A computing board expected at this index is missing.
     NoSuchDevice(usize),
+    /// A per-shard setting names a shard index the fleet does not have.
+    NoSuchShard(usize),
     /// The coprocessor rejected a task operation (registration fit,
     /// reconfiguration).
     Task(TaskError),
@@ -65,6 +67,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::ShuttingDown => write!(f, "runtime is shutting down"),
             RuntimeError::NoDevices => write!(f, "system has no computing boards"),
             RuntimeError::NoSuchDevice(i) => write!(f, "no ACB at index {i}"),
+            RuntimeError::NoSuchShard(i) => write!(f, "no shard at index {i}"),
             RuntimeError::Task(e) => write!(f, "coprocessor: {e}"),
             RuntimeError::Faulted { retries } => {
                 write!(f, "job failed integrity checks after {retries} retries")
