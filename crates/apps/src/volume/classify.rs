@@ -6,10 +6,8 @@
 //! levels vary how much the soft tissue contributes — which controls how
 //! deep rays penetrate, and with it every statistic of Table E3/E4.
 
-use serde::{Deserialize, Serialize};
-
 /// The three soft-tissue opacity levels of §3.4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpacityLevel {
     /// Soft tissue fully transparent: only hard surfaces render
     /// (“opaque objects”, the fast end of the range).

@@ -20,11 +20,10 @@
 use super::raycast::RenderStats;
 use atlantis_simcore::rng::WorkloadRng;
 use atlantis_simcore::{Frequency, SimDuration};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Static configuration of the rendering engine.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
     /// Parallel ray pipelines (fed by the 8 SDRAM banks).
     pub pipelines: usize,
@@ -82,7 +81,7 @@ impl PipelineConfig {
 }
 
 /// Result of simulating one frame through the engine.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PipelineStats {
     /// Cycles until the last pipeline finished.
     pub cycles: u64,

@@ -9,13 +9,12 @@
 use super::classify::Classifier;
 use super::image::GrayImage;
 use super::phantom::DensityField;
-use serde::{Deserialize, Serialize};
 
 /// Edge length of the skip blocks (8³ voxels per block).
 pub const BLOCK: u32 = 8;
 
 /// The three viewing directions of §3.4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViewDirection {
     /// Along +z (axial).
     AxisZ,
@@ -50,7 +49,7 @@ impl ViewDirection {
 
 /// Parallel or perspective projection (§3.4: “Perspective views reduce
 /// the rendering speed by a factor of about 2”).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Projection {
     /// Orthographic.
     Parallel,
@@ -59,7 +58,7 @@ pub enum Projection {
 }
 
 /// Statistics of one rendered frame.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RenderStats {
     /// Rays cast (image pixels).
     pub rays: u64,

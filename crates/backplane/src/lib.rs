@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 use atlantis_simcore::{Bandwidth, Frequency, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Per-slot transfer accounting: every transfer touching a slot (as
@@ -56,7 +55,7 @@ impl SlotStats {
 }
 
 /// How the 128 data lines of a slot are divided into channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelConfig {
     /// 2 channels × 64 bit.
     Two64,
@@ -107,7 +106,7 @@ impl ChannelConfig {
 }
 
 /// Passive (fixed routing, pipelined) versus configurable backplane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackplaneKind {
     /// The “simple pipelined, passive” test backplane: connections are
     /// fixed after the first configuration, and each slot-to-slot hop adds

@@ -12,7 +12,6 @@ use atlantis_apps::volume::pipeline::{frame_from_render, PipelineConfig};
 use atlantis_apps::volume::raycast::Projection;
 use atlantis_apps::volume::{Classifier, HeadPhantom, OpacityLevel, RayCaster, ViewDirection};
 use atlantis_bench::{f, Checker, Table};
-use rayon::prelude::*;
 
 fn main() -> std::process::ExitCode {
     let phantom = HeadPhantom::paper_ct();
@@ -22,21 +21,27 @@ fn main() -> std::process::ExitCode {
     );
 
     let mut c = Checker::new();
-    // The nine frames are independent: render them in parallel (rayon),
-    // keeping deterministic output order via the indexed collect.
-    let combos: Vec<(OpacityLevel, ViewDirection)> = OpacityLevel::all()
-        .into_iter()
-        .flat_map(|l| ViewDirection::all().into_iter().map(move |v| (l, v)))
-        .collect();
-    let results: Vec<_> = combos
-        .par_iter()
-        .map(|&(level, view)| {
-            let caster = RayCaster::new(&phantom, Classifier::new(level));
-            let (_, stats) = caster.render(256, 128, view, Projection::Parallel);
-            let frame = frame_from_render(&PipelineConfig::atlantis_parallel(), &stats);
-            (level, view, stats, frame)
-        })
-        .collect();
+    // The nine frames are independent: render each on its own scoped
+    // thread, joined in order so the rows keep their order.
+    let results: Vec<_> = std::thread::scope(|s| {
+        let renders: Vec<_> = OpacityLevel::all()
+            .into_iter()
+            .flat_map(|l| ViewDirection::all().into_iter().map(move |v| (l, v)))
+            .map(|(level, view)| {
+                let phantom = &phantom;
+                s.spawn(move || {
+                    let caster = RayCaster::new(phantom, Classifier::new(level));
+                    let (_, stats) = caster.render(256, 128, view, Projection::Parallel);
+                    let frame = frame_from_render(&PipelineConfig::atlantis_parallel(), &stats);
+                    (level, view, stats, frame)
+                })
+            })
+            .collect();
+        renders
+            .into_iter()
+            .map(|r| r.join().expect("frame render panicked"))
+            .collect()
+    });
 
     let mut opaque_fracs = Vec::new();
     let mut transparent_fracs = Vec::new();

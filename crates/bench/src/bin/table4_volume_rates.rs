@@ -20,25 +20,30 @@ fn main() -> std::process::ExitCode {
 
     let mut best_opaque: f64 = 0.0;
     let mut worst_transparent = f64::INFINITY;
-    // Nine independent frames — render them on all cores (rayon), emit in
-    // deterministic order.
-    use rayon::prelude::*;
-    let combos: Vec<(OpacityLevel, ViewDirection)> = OpacityLevel::all()
-        .into_iter()
-        .flat_map(|l| ViewDirection::all().into_iter().map(move |v| (l, v)))
-        .collect();
-    let frames: Vec<_> = combos
-        .par_iter()
-        .map(|&(level, view)| {
-            let caster = RayCaster::new(&phantom, Classifier::new(level));
-            let (_, stats) = caster.render(256, 128, view, Projection::Parallel);
-            (
-                level,
-                view,
-                frame_from_render(&PipelineConfig::atlantis_parallel(), &stats),
-            )
-        })
-        .collect();
+    // Nine independent frames: render each on its own scoped thread,
+    // joined in order so the rows keep their order.
+    let frames: Vec<_> = std::thread::scope(|s| {
+        let renders: Vec<_> = OpacityLevel::all()
+            .into_iter()
+            .flat_map(|l| ViewDirection::all().into_iter().map(move |v| (l, v)))
+            .map(|(level, view)| {
+                let phantom = &phantom;
+                s.spawn(move || {
+                    let caster = RayCaster::new(phantom, Classifier::new(level));
+                    let (_, stats) = caster.render(256, 128, view, Projection::Parallel);
+                    (
+                        level,
+                        view,
+                        frame_from_render(&PipelineConfig::atlantis_parallel(), &stats),
+                    )
+                })
+            })
+            .collect();
+        renders
+            .into_iter()
+            .map(|r| r.join().expect("frame render panicked"))
+            .collect()
+    });
     let mut rates = Vec::new();
     for (level, view, frame) in &frames {
         table.row(&[

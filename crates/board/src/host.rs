@@ -9,10 +9,9 @@
 //! sustained-IPC figure, which is all the paper's comparisons need.
 
 use atlantis_simcore::{Frequency, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// The CPU classes appearing in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuClass {
     /// Mobile Pentium-200 MMX (one host option, §2.4).
     PentiumMmx200,

@@ -61,7 +61,6 @@
 use crate::netlist::{node_width, BinOp, Node, UnOp, WritePortDecl};
 use crate::signal::mask;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Operand slot meaning "absent" (e.g. a register without an enable).
 const NONE: u32 = u32::MAX;
@@ -551,15 +550,16 @@ pub(crate) struct ExecState<'a> {
 /// operand slots, masks, shifts and immediates captured as constants. The
 /// *caller* stores the result (and runs change detection where the path
 /// needs it), so one closure serves the incremental and dense paths
-/// alike. `Send + Sync` keeps `Sim` movable into the runtime's per-board
-/// worker threads, each of which owns its ACB's FPGAs.
-type OpFn = Box<dyn Fn(&[u64], &[Vec<u64>]) -> u64 + Send + Sync>;
+/// alike. `Send` keeps `Sim` movable into the runtime's per-board worker
+/// thread, which owns its ACB's FPGAs; no `&Sim` is shared between
+/// threads, so the closures need not be `Sync`.
+type OpFn = Box<dyn Fn(&[u64], &[Vec<u64>]) -> u64 + Send>;
 
 /// One compiled run block: straight-line execution of a same-opcode op
 /// run inside one level, storing every destination unconditionally (the
 /// raw-sweep contract). The opcode match is hoisted outside the run's
 /// loop, so the loop body is branch-free specialized code.
-type BlockFn = Box<dyn Fn(&mut ExecState) + Send + Sync>;
+type BlockFn = Box<dyn Fn(&mut ExecState) + Send>;
 
 /// The threaded program for one compiled stream: per-op closures for the
 /// incremental path, plus the dense sweep plan — ops of
@@ -569,7 +569,7 @@ type BlockFn = Box<dyn Fn(&mut ExecState) + Send + Sync>;
 /// guarantees same-level ops never consume each other's destinations.
 struct ThreadedProgram {
     /// `(dst, compute)` per op, in stream (level) order.
-    ops: Arc<Vec<(u32, OpFn)>>,
+    ops: Vec<(u32, OpFn)>,
     /// Run blocks, level-major; each executes one same-opcode run.
     runs: Vec<BlockFn>,
     /// Level `l`'s run blocks are `runs[run_start[l]..run_start[l + 1]]`.
@@ -597,19 +597,19 @@ impl std::fmt::Debug for ProgramCache {
 }
 
 /// Build a one-operand compute closure with the operand slot captured.
-fn th1(a: u32, f: impl Fn(u64) -> u64 + Send + Sync + 'static) -> OpFn {
+fn th1(a: u32, f: impl Fn(u64) -> u64 + Send + 'static) -> OpFn {
     let a = a as usize;
     Box::new(move |v, _| f(v[a]))
 }
 
 /// Build a two-operand compute closure with both slots captured.
-fn th2(a: u32, b: u32, f: impl Fn(u64, u64) -> u64 + Send + Sync + 'static) -> OpFn {
+fn th2(a: u32, b: u32, f: impl Fn(u64, u64) -> u64 + Send + 'static) -> OpFn {
     let (a, b) = (a as usize, b as usize);
     Box::new(move |v, _| f(v[a], v[b]))
 }
 
 /// Build a three-operand compute closure with all slots captured.
-fn th3(a: u32, b: u32, c: u32, f: impl Fn(u64, u64, u64) -> u64 + Send + Sync + 'static) -> OpFn {
+fn th3(a: u32, b: u32, c: u32, f: impl Fn(u64, u64, u64) -> u64 + Send + 'static) -> OpFn {
     let (a, b, c) = (a as usize, b as usize, c as usize);
     Box::new(move |v, _| f(v[a], v[b], v[c]))
 }
@@ -641,7 +641,7 @@ fn ch3(
     y: Vec<u32>,
     z: Vec<u32>,
     p: Vec<u64>,
-    f: impl Fn(u64, u64, u64, u64) -> u64 + Send + Sync + 'static,
+    f: impl Fn(u64, u64, u64, u64) -> u64 + Send + 'static,
 ) -> BlockFn {
     let seed = seed as usize;
     Box::new(move |st: &mut ExecState| {
@@ -661,7 +661,7 @@ fn rn1(
     a: Vec<u32>,
     p: Vec<u64>,
     q: Vec<u64>,
-    f: impl Fn(u64, u64, u64) -> u64 + Send + Sync + 'static,
+    f: impl Fn(u64, u64, u64) -> u64 + Send + 'static,
 ) -> BlockFn {
     if broadcast(&a) {
         let a0 = a[0] as usize;
@@ -689,7 +689,7 @@ fn rn2(
     b: Vec<u32>,
     p: Vec<u64>,
     q: Vec<u64>,
-    f: impl Fn(u64, u64, u64, u64) -> u64 + Send + Sync + 'static,
+    f: impl Fn(u64, u64, u64, u64) -> u64 + Send + 'static,
 ) -> BlockFn {
     match (broadcast(&a), broadcast(&b)) {
         (true, true) => {
@@ -740,7 +740,7 @@ fn rn3(
     c: Vec<u32>,
     p: Vec<u64>,
     q: Vec<u64>,
-    f: impl Fn(u64, u64, u64, u64, u64) -> u64 + Send + Sync + 'static,
+    f: impl Fn(u64, u64, u64, u64, u64) -> u64 + Send + 'static,
 ) -> BlockFn {
     Box::new(move |st: &mut ExecState| {
         let v = &mut *st.vals;
@@ -1628,11 +1628,9 @@ impl CompiledEngine {
     /// recording the compile ledger.
     fn rebuild_threaded(&mut self) {
         let t0 = std::time::Instant::now();
-        let ops: Arc<Vec<(u32, OpFn)>> = Arc::new(
-            (0..self.op_code.len())
-                .map(|i| (self.op_dst[i], self.compile_op(i)))
-                .collect(),
-        );
+        let ops: Vec<(u32, OpFn)> = (0..self.op_code.len())
+            .map(|i| (self.op_dst[i], self.compile_op(i)))
+            .collect();
         let levels = self.level_start.len() - 1;
         let mut runs: Vec<BlockFn> = Vec::new();
         let mut run_start: Vec<u32> = Vec::with_capacity(levels + 1);

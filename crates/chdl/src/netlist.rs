@@ -8,7 +8,6 @@
 //! fitter can decide whether a design fits an ORCA 3T125 or Virtex XCV600.
 
 use crate::signal::{bits_for, mask, Signal, MAX_WIDTH};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Unary word operators.
@@ -139,7 +138,7 @@ pub struct RegSlot {
 /// The estimates use simple per-component formulas (documented on
 /// [`Design::stats`]); they are deliberately on the generous side so that
 /// a design accepted by the fitter would plausibly route on the real part.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetlistStats {
     /// Estimated logic gates.
     pub gates: u64,

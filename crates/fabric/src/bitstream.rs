@@ -12,10 +12,9 @@
 //!   size reflects how much of the design actually changed.
 
 use crate::device::Device;
-use serde::{Deserialize, Serialize};
 
 /// One configuration frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Frame address within the device.
     pub index: u32,
@@ -39,7 +38,7 @@ impl Frame {
 }
 
 /// A full-device configuration image.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitstream {
     /// Name of the device this image targets.
     pub device_name: String,
@@ -49,7 +48,7 @@ pub struct Bitstream {
 
 /// A partial configuration image: only the frames that differ from a base
 /// configuration, for fast hardware task switches.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialBitstream {
     /// Name of the device this image targets.
     pub device_name: String,

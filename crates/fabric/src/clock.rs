@@ -6,7 +6,6 @@
 //! and a local fallback clock; this type models any of them.
 
 use atlantis_simcore::{Frequency, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Lower programming bound (“a few MHz”).
 pub fn min_clock() -> Frequency {
@@ -19,7 +18,7 @@ pub fn max_clock() -> Frequency {
 }
 
 /// A software-programmable clock generator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgrammableClock {
     name: String,
     freq: Frequency,

@@ -9,10 +9,9 @@
 //! same unit.
 
 use atlantis_simcore::{Bandwidth, Frequency, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// A static description of one FPGA part.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Device {
     /// Part name, e.g. `"ORCA 3T125"`.
     pub name: String,

@@ -9,7 +9,6 @@
 use crate::bitstream::Bitstream;
 use crate::device::Device;
 use atlantis_chdl::{Design, NetlistStats};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -79,7 +78,7 @@ impl fmt::Display for FitError {
 impl std::error::Error for FitError {}
 
 /// Resource utilization report of a fitted design.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FitReport {
     /// Gates used.
     pub gates: u64,

@@ -7,10 +7,9 @@
 //! 8 banks — exactly the behaviour this model exposes.
 
 use atlantis_simcore::{Frequency, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// SDRAM timing parameters, in cycles of the memory clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SdramTiming {
     /// RAS-to-CAS delay (activate → read/write).
     pub t_rcd: u32,

@@ -6,10 +6,8 @@
 //! lane-level access, masked so that bits beyond the declared width are
 //! always zero.
 
-use serde::{Deserialize, Serialize};
-
 /// A `width`-bit word stored as ⌈width/64⌉ little-endian `u64` lanes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WideWord {
     width: u32,
     lanes: Vec<u64>,

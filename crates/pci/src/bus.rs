@@ -11,10 +11,9 @@
 //! reads.
 
 use atlantis_simcore::{Bandwidth, Frequency, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Static parameters of a PCI bus segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PciBusConfig {
     /// Bus clock (33 MHz for CompactPCI as used here).
     pub clock_hz: u64,
@@ -74,7 +73,7 @@ impl PciBusConfig {
 }
 
 /// Direction of a bus transfer, from the bus master's point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BusDir {
     /// Master drives data to the target (memory write).
     Write,

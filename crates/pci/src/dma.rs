@@ -11,10 +11,9 @@
 use crate::bus::{BusDir, PciBus};
 use crate::driver::LocalBusTarget;
 use atlantis_simcore::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Direction of a DMA transfer, from the application's point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DmaDirection {
     /// Board → host (“DMA read” in the paper): posted PCI writes.
     BoardToHost,
@@ -37,7 +36,7 @@ impl DmaDirection {
 /// programmed independently and keep independent statistics, which is
 /// what lets a serving layer stream a job's input on channel 0 while a
 /// previous job's output drains on channel 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DmaChannel {
     /// DMA channel 0 (the runtime's input/prefetch channel).
     Ch0,
@@ -46,7 +45,7 @@ pub enum DmaChannel {
 }
 
 /// One DMA descriptor (scatter/gather element).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DmaDescriptor {
     /// Offset into host memory.
     pub host_offset: u64,

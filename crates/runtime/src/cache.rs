@@ -16,7 +16,6 @@
 
 use atlantis_apps::jobs::JobKind;
 use atlantis_fabric::{fit, Device, FitError, FittedDesign};
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -41,16 +40,23 @@ impl BitstreamCache {
         }
     }
 
-    /// Fit every workload design up front, in parallel (vendored rayon).
-    /// Serving then never blocks a job on the fitter.
+    /// The device family this cache fits for.
+    pub(crate) fn device(&self) -> &Device {
+        &self.device
+    }
+
+    /// Fit every workload design up front, one after another: the four
+    /// fits take about 0.2 ms, and spreading them over threads measured
+    /// slower (DESIGN.md §8). Serving then never blocks a job on the
+    /// fitter. The first design that does not fit stops the loop and its
+    /// [`FitError`] is returned; designs fitted before it stay cached.
     pub fn prefit_all(&self) -> Result<(), FitError> {
-        let fitted: Vec<(JobKind, Result<FittedDesign, FitError>)> = JobKind::ALL
-            .par_iter()
-            .map(|&kind| (kind, fit(&kind.build_design(), &self.device)))
-            .collect();
-        let mut fits = self.fits.lock().unwrap();
-        for (kind, result) in fitted {
-            fits.insert(kind.design_name(), Arc::new(result?));
+        for kind in JobKind::ALL {
+            let fitted = Arc::new(fit(&kind.build_design(), &self.device)?);
+            self.fits
+                .lock()
+                .expect("bitstream cache lock poisoned")
+                .insert(kind.design_name(), fitted);
         }
         Ok(())
     }
@@ -77,5 +83,24 @@ impl BitstreamCache {
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn prefit_all_returns_the_fit_error_and_caches_nothing() {
+        let cache = BitstreamCache::new(Device {
+            system_gates: 1,
+            ..Device::orca_3t125()
+        });
+        assert!(matches!(
+            cache.prefit_all(),
+            Err(FitError::Gates { have: 1, .. })
+        ));
+        assert!(cache.fits.lock().unwrap().is_empty());
+        assert_eq!(cache.counters(), (0, 0));
     }
 }

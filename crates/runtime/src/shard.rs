@@ -33,6 +33,7 @@ use crate::policy::{self, Fabric, PickConfig, Queued, SchedPolicy};
 use crate::stats::LogHistogram;
 use atlantis_apps::jobs::{JobKind, JobSpec, WorkloadContext};
 use atlantis_backplane::{Aab, BackplaneKind, ConnectionId};
+use atlantis_core::coprocessor::TaskError;
 use atlantis_core::Coprocessor;
 use atlantis_fabric::Device;
 use atlantis_simcore::{SimDuration, SimTime};
@@ -315,15 +316,24 @@ impl ShardScheduler {
     /// (ACB in slot `2i`, its AIB in slot `2i+1`, one full-width
     /// connection each — the §2.3 pairing that yields 1 GB/s per pair).
     /// `cache` is the cluster-wide fitted-bitstream cache; call
-    /// [`BitstreamCache::prefit_all`] once before sharing it.
+    /// [`BitstreamCache::prefit_all`] once before sharing it. Fails with
+    /// [`RuntimeError::NoDevices`] for zero boards and with
+    /// [`TaskError::DeviceMismatch`] for a cache fitted for another
+    /// fabric family.
     pub fn new(cfg: ShardConfig, cache: Arc<BitstreamCache>) -> Result<Self, RuntimeError> {
         if cfg.boards == 0 {
             return Err(RuntimeError::NoDevices);
         }
+        let device = cfg.fabric.device();
+        if *cache.device() != device {
+            return Err(RuntimeError::Task(TaskError::DeviceMismatch {
+                fitted_for: cache.device().name.clone(),
+                device: device.name,
+            }));
+        }
         // Two extra slots host the reserved cluster-hop connection.
         let mut aab = Aab::new(BackplaneKind::Configurable, 2 * cfg.boards + 2);
         let mut boards = Vec::with_capacity(cfg.boards);
-        let device = cfg.fabric.device();
         for i in 0..cfg.boards {
             let conn = aab
                 .connect(2 * i, 2 * i + 1, aab.config().channels())
@@ -821,9 +831,23 @@ mod tests {
                 boards: 0,
                 ..ShardConfig::default()
             },
-            cache,
+            Arc::clone(&cache),
         );
         assert!(matches!(r, Err(RuntimeError::NoDevices)));
+        // A cache fitted for another fabric family is refused up front,
+        // not left to panic on the first switch.
+        let r = ShardScheduler::new(
+            ShardConfig {
+                fabric: FabricKind::Virtex,
+                ..ShardConfig::default()
+            },
+            cache,
+        );
+        assert!(matches!(
+            r,
+            Err(RuntimeError::Task(TaskError::DeviceMismatch { fitted_for, .. }))
+                if fitted_for == "ORCA 3T125"
+        ));
     }
 
     #[test]

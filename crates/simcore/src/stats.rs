@@ -4,10 +4,8 @@
 //! ratios (speed-ups) over repeated runs; this module keeps that arithmetic
 //! in one tested place.
 
-use serde::{Deserialize, Serialize};
-
 /// Running summary of a sequence of samples (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,

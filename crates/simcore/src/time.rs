@@ -7,7 +7,6 @@
 //! 5 hours of virtual time, far beyond any experiment in the paper (the
 //! longest is a ~4 s full-volume DMA transfer).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -19,7 +18,7 @@ pub const PS_PER_SEC: u64 = 1_000_000_000_000;
 ///
 /// `SimDuration` is the unit in which every ATLANTIS model reports cost:
 /// a DMA transfer, a histogramming pass, a frame render all return one.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration {
     picos: u64,
 }
@@ -208,7 +207,7 @@ impl Sum for SimDuration {
 }
 
 /// An absolute point on the virtual timeline (picoseconds since power-on).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime {
     picos: u64,
 }
@@ -266,7 +265,7 @@ impl AddAssign<SimDuration> for SimTime {
 ///
 /// ATLANTIS clocks are programmable “in the range of a few MHz up to at
 /// least 80 MHz” (§2); memory devices run up to 100 MHz and PCI at 33 MHz.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Frequency {
     hz: u64,
 }
@@ -338,7 +337,7 @@ impl fmt::Display for Frequency {
 }
 
 /// A data rate in bytes per second.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Bandwidth {
     bytes_per_sec: u64,
 }
