@@ -70,10 +70,8 @@ fn main() -> std::process::ExitCode {
     // Self-measurement for the committed JSON report.
     let cycles: u64 = if test_mode { 2_000 } else { 100_000 };
     let d = trt_scale_design();
-    let probe = Sim::new(&d);
-    let (ops, levels) = probe.compiled_stats().unwrap();
-    let stats = probe.engine_stats().unwrap().clone();
-    drop(probe);
+    let stats = Sim::new(&d).engine_stats().unwrap().clone();
+    let (ops, levels) = (stats.ops_final, stats.levels);
     let (interp_ns, interp_out) = measure(&mut Sim::with_mode(&d, ExecMode::Interpreted), cycles);
     let (comp_ns, comp_out) = measure(&mut Sim::new(&d), cycles);
     let speedup = interp_ns / comp_ns;

@@ -1,31 +1,20 @@
-//! Superop fusion + adaptive evaluation + threaded dispatch bench
-//! (DESIGN.md §12 and §14).
+//! Superop fusion + adaptive evaluation bench (DESIGN.md §12 and §14).
 //!
-//! Three netlists:
+//! Two netlists:
 //!
 //! * **TRT-scale** (the `chdl_engine` workload, shared via
 //!   [`atlantis_bench::trt`]): the raw micro-op stream
-//!   (`EngineConfig::unfused()`) versus the fused stream under match
-//!   dispatch — the fusion pass must buy ≥1.5x ns/cycle on its own. The
-//!   default engine (`DispatchMode::Auto`, which compiles this stream to
-//!   closure chains) is checked against the oracle and its time printed:
-//!   sparse hits drain a handful of ops per cycle through the same queue
-//!   bookkeeping under either dispatch tier, so the two tie here.
-//! * **Dense** (`deep_design(1024, 6)`, 7.7k ops seeded by free-running
-//!   counters, so every level is dirty every cycle): the default engine
-//!   cascades into a straight-line sweep of the whole stream on its own,
-//!   and the stream stays cache-resident. Here the dispatch tiers are
-//!   compared head-to-head: the default engine's closure-chain run blocks
-//!   versus the same engine under `DispatchMode::Match`, which must be
-//!   ≥1.2x slower.
-//! * **Deep** (the same generator at 4096×16): serial per-op queue
+//!   (`EngineConfig::unfused()`) versus the default engine — the fusion
+//!   pass (with the adaptive sweeps, which this sparse per-hit stimulus
+//!   hardly engages) must buy ≥1.5x ns/cycle.
+//! * **Deep** (4096×16 nodes of mixed logic seeded by free-running
+//!   counters, so every level is dirty every cycle): serial per-op queue
 //!   evaluation (`EngineConfig::serial()`) versus the adaptive evaluator
 //!   (`EngineConfig::default()`), whose level-sweep plan replaces per-op
-//!   bookkeeping and must buy ≥2x. The sweep is memory-bound at this
-//!   size, so the threaded-over-match ratio is printed without a floor.
+//!   bookkeeping and must buy ≥2x.
 //!
 //! Every measured run is cross-checked bit-for-bit against the
-//! interpreter oracle (a prefix of it on the two large netlists), and the
+//! interpreter oracle (a prefix of it on the deep netlist), and the
 //! compiled-engine floor (≥2x over the interpreter) is re-asserted on the
 //! fused+adaptive configuration. Always writes `BENCH_fusion.json`.
 //! `--test` is a fast smoke mode; the deep floors are sized for the full
@@ -36,19 +25,9 @@ use atlantis_bench::trt::{
     write_netopt_artifact,
 };
 use atlantis_bench::Checker;
-use atlantis_chdl::{Design, DispatchMode, EngineConfig, ExecMode, Sim};
+use atlantis_chdl::{Design, EngineConfig, ExecMode, Sim};
 use criterion::{black_box, Criterion};
 use std::time::Instant;
-
-/// The PR 6 engine: fused stream, adaptive sweeps, match dispatch. The
-/// baseline the threaded tier must beat — identical in every way except
-/// the dispatch mechanism.
-fn fused_match() -> EngineConfig {
-    EngineConfig {
-        dispatch: DispatchMode::Match,
-        ..EngineConfig::default()
-    }
-}
 
 /// Deep netlist: `cols` nodes per level × `depth` levels of mixed logic
 /// (adders, ANDN/XOR shapes, constant sides, slice+concat re-packs,
@@ -110,10 +89,6 @@ fn deep_design(cols: usize, depth: usize) -> Design {
     d
 }
 
-/// Geometry of the dense netlist: the `--test` size of the deep one.
-const DENSE_COLS: usize = 1024;
-const DENSE_DEPTH: usize = 6;
-
 /// One timed batch of `cycles` edges; returns ns/cycle and the final
 /// value of `out` so configurations can be cross-checked.
 fn measure(sim: &mut Sim, out: &str, cycles: u64) -> (f64, u64) {
@@ -126,7 +101,7 @@ fn measure(sim: &mut Sim, out: &str, cycles: u64) -> (f64, u64) {
 
 fn bench_fusion(c: &mut Criterion) {
     let trt = trt_scale_design();
-    let mut fused = Sim::with_config(&trt, ExecMode::Compiled, fused_match());
+    let mut fused = Sim::new(&trt);
     drive_trt(&mut fused);
     c.bench_function("chdl_fusion/trt_fused_stream_1000", |b| {
         b.iter(|| black_box(measure_trt(&mut fused, &trt, 1000)));
@@ -135,15 +110,6 @@ fn bench_fusion(c: &mut Criterion) {
     drive_trt(&mut unfused);
     c.bench_function("chdl_fusion/trt_unfused_stream_1000", |b| {
         b.iter(|| black_box(measure_trt(&mut unfused, &trt, 1000)));
-    });
-    let dense = deep_design(DENSE_COLS, DENSE_DEPTH);
-    let mut threaded = Sim::new(&dense);
-    c.bench_function("chdl_fusion/dense_threaded_100", |b| {
-        b.iter(|| black_box(measure(&mut threaded, "deep_out", 100)));
-    });
-    let mut matched = Sim::with_config(&dense, ExecMode::Compiled, fused_match());
-    c.bench_function("chdl_fusion/dense_match_100", |b| {
-        b.iter(|| black_box(measure(&mut matched, "deep_out", 100)));
     });
 }
 
@@ -161,7 +127,6 @@ fn main() -> std::process::ExitCode {
     let mut sims = [
         Sim::with_mode(&trt, ExecMode::Interpreted),
         Sim::with_config(&trt, ExecMode::Compiled, EngineConfig::unfused()),
-        Sim::with_config(&trt, ExecMode::Compiled, fused_match()),
         Sim::new(&trt),
     ];
     for sim in &mut sims {
@@ -171,8 +136,8 @@ fn main() -> std::process::ExitCode {
     // so host-wide noise hits them alike, and each keeps its fastest block
     // (the standard noise-robust point estimate).
     let reps = 5;
-    let mut best = [f64::INFINITY; 4];
-    let mut digests = [0u64; 4];
+    let mut best = [f64::INFINITY; 3];
+    let mut digests = [0u64; 3];
     for _ in 0..reps {
         for (k, sim) in sims.iter_mut().enumerate() {
             let (ns, d) = measure_trt(sim, &trt, trt_cycles / reps);
@@ -180,21 +145,15 @@ fn main() -> std::process::ExitCode {
             digests[k] = digests[k].rotate_left(7) ^ d;
         }
     }
-    let (oracle_out, unfused_out, fused_out, threaded_out) =
-        (digests[0], digests[1], digests[2], digests[3]);
-    let (unfused_ns, fused_ns, threaded_ns) = (best[1], best[2], best[3]);
+    let [oracle_out, unfused_out, fused_out] = digests;
+    let [_, unfused_ns, fused_ns] = best;
     let stats = sims[2].engine_stats().unwrap().clone();
-    let threaded_stats = sims[3].engine_stats().unwrap().clone();
     let fusion_speedup = unfused_ns / fused_ns;
 
     print_fusion_ledger(&stats);
-    print_dispatch_ledger(&threaded_stats);
-    println!("unfused        : {unfused_ns:>8.1} ns/cycle");
-    println!("fused (match)  : {fused_ns:>8.1} ns/cycle  ({fusion_speedup:.2}x)");
-    println!(
-        "default        : {threaded_ns:>8.1} ns/cycle  ({:.2}x over match; sparse drains, no floor)",
-        fused_ns / threaded_ns
-    );
+    print_dispatch_ledger(&stats);
+    println!("unfused : {unfused_ns:>8.1} ns/cycle");
+    println!("default : {fused_ns:>8.1} ns/cycle  ({fusion_speedup:.2}x)");
 
     c.check(
         "TRT: fused engine agrees with the interpreter oracle",
@@ -203,14 +162,6 @@ fn main() -> std::process::ExitCode {
     c.check(
         "TRT: unfused engine agrees with the interpreter oracle",
         unfused_out == oracle_out,
-    );
-    c.check(
-        "TRT: threaded dispatch agrees with the interpreter oracle",
-        threaded_out == oracle_out,
-    );
-    c.check(
-        "TRT: threaded evals actually took the compiled tier",
-        threaded_stats.evals_threaded > 0 && threaded_stats.compiles > 0,
     );
     c.check_band(
         "TRT micro-ops before fusion",
@@ -232,59 +183,6 @@ fn main() -> std::process::ExitCode {
         1e6,
     );
 
-    // ---- dense netlist: threaded vs match dispatch on full sweeps -----
-    let dense_cycles: u64 = if test_mode { 2_000 } else { 50_000 };
-    let dense = deep_design(DENSE_COLS, DENSE_DEPTH);
-    let mut dense_sims = [
-        Sim::new(&dense),
-        Sim::with_config(&dense, ExecMode::Compiled, fused_match()),
-    ];
-    let mut dense_best = [f64::INFINITY; 2];
-    let mut dense_digests = [0u64; 2];
-    for _ in 0..reps {
-        for (k, sim) in dense_sims.iter_mut().enumerate() {
-            let (ns, out) = measure(sim, "deep_out", dense_cycles / reps);
-            dense_best[k] = dense_best[k].min(ns);
-            dense_digests[k] = dense_digests[k].rotate_left(7) ^ out;
-        }
-    }
-    let [dense_threaded_ns, dense_match_ns] = dense_best;
-    let dense_speedup = dense_match_ns / dense_threaded_ns;
-    let dense_threaded = dense_sims[0].engine_stats().unwrap().clone();
-    let dense_match = dense_sims[1].engine_stats().unwrap().clone();
-
-    println!(
-        "\ndense netlist ({DENSE_COLS} x {DENSE_DEPTH}): {} ops, {} levels",
-        dense_threaded.ops_final, dense_threaded.levels
-    );
-    println!("match dispatch    : {dense_match_ns:>9.1} ns/cycle");
-    println!("threaded dispatch : {dense_threaded_ns:>9.1} ns/cycle  ({dense_speedup:.2}x)");
-
-    c.check(
-        "dense: threaded and match dispatch agree with the interpreter oracle prefix",
-        dense_digests[0] == dense_digests[1] && {
-            let prefix = 200;
-            let mut oracle = Sim::with_mode(&dense, ExecMode::Interpreted);
-            let mut threaded = Sim::new(&dense);
-            let mut matched = Sim::with_config(&dense, ExecMode::Compiled, fused_match());
-            let want = measure(&mut oracle, "deep_out", prefix).1;
-            measure(&mut threaded, "deep_out", prefix).1 == want
-                && measure(&mut matched, "deep_out", prefix).1 == want
-        },
-    );
-    c.check(
-        "dense: the default engine took the threaded tier, the baseline match dispatch",
-        dense_threaded.evals_match == 0
-            && dense_threaded.evals_threaded > 0
-            && dense_match.evals_threaded == 0,
-    );
-    c.check_band(
-        "dense threaded dispatch speedup over fused match dispatch (>= 1.2x required)",
-        dense_speedup,
-        1.2,
-        1e6,
-    );
-
     // ---- deep netlist: adaptive vs serial per-op ----------------------
     let (cols, depth, deep_cycles) = if test_mode {
         (1024, 6, 200)
@@ -294,12 +192,10 @@ fn main() -> std::process::ExitCode {
     let deep = deep_design(cols, depth);
     let mut serial = Sim::with_config(&deep, ExecMode::Compiled, EngineConfig::serial());
     let mut adaptive = Sim::new(&deep); // fused + adaptive sweeps
-    let mut deep_match = Sim::with_config(&deep, ExecMode::Compiled, fused_match());
     let mut deep_oracle = Sim::with_mode(&deep, ExecMode::Interpreted);
     let deep_stats = adaptive.engine_stats().unwrap().clone();
     let (serial_ns, serial_out) = measure(&mut serial, "deep_out", deep_cycles);
     let (adaptive_ns, adaptive_out) = measure(&mut adaptive, "deep_out", deep_cycles);
-    let (deep_match_ns, deep_match_out) = measure(&mut deep_match, "deep_out", deep_cycles);
     let (deep_interp_ns, deep_oracle_out) =
         measure(&mut deep_oracle, "deep_out", deep_cycles.min(200));
     let adaptive_speedup = serial_ns / adaptive_ns;
@@ -311,17 +207,13 @@ fn main() -> std::process::ExitCode {
     );
     println!("serial per-op : {serial_ns:>9.1} ns/cycle");
     println!("adaptive      : {adaptive_ns:>9.1} ns/cycle  ({adaptive_speedup:.2}x)");
-    println!(
-        "match dispatch: {deep_match_ns:>9.1} ns/cycle  (threaded is {:.2}x; memory-bound, no floor)",
-        deep_match_ns / adaptive_ns
-    );
     println!("interpreter   : {deep_interp_ns:>9.1} ns/cycle  (adaptive is {interp_speedup:.2}x)");
 
     c.check(
         "deep: adaptive engine agrees with the interpreter oracle",
         // The oracle ran fewer cycles in full mode; compare the serial
         // engine (same cycle count) and spot-check the oracle prefix.
-        adaptive_out == serial_out && deep_match_out == serial_out,
+        adaptive_out == serial_out,
     );
     c.check(
         "deep: serial engine agrees with the interpreter oracle prefix",

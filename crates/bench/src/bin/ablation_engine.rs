@@ -4,21 +4,17 @@
 //! serving context uses) are histogrammed cycle by cycle on the 176-lane
 //! histogrammer, with one engine knob changed per row against the
 //! default configuration. A tier earns its place only if turning it off
-//! costs served time; the last rows are the baselines the bench floors
-//! use, plus the netlist optimizer applied before `Sim::new` (the pass
-//! `Sim` used to run inside construction). Every row must reproduce the
-//! bank's reference histograms bit for bit.
-//!
-//! A second table times the `Auto` dispatch gate (threaded closure chains
-//! from 128 ops up) on the four served job designs, which all sit below
-//! it: build and per-cycle cost under match and threaded dispatch, with
-//! fresh random inputs every cycle, and the stepped cycles after which
-//! the threaded build would pay for itself.
+//! costs served time, and the two knobs are checked to: `fuse off` must
+//! cost ≥ 1.5× the default's µs/event and `adaptive off` more than 1×.
+//! The last rows are the raw-stream baseline the bench floors use, plus
+//! the netlist optimizer applied before `Sim::new` (the pass `Sim` used
+//! to run inside construction). Every row must reproduce the bank's
+//! reference histograms bit for bit.
 
-use atlantis_apps::jobs::{JobKind, TRT_PATTERNS};
+use atlantis_apps::jobs::TRT_PATTERNS;
 use atlantis_apps::trt::{Event, EventGenerator, FpgaHistogrammer, PatternBank, TrtGeometry};
 use atlantis_bench::{f, Checker, Table};
-use atlantis_chdl::{Design, DispatchMode, EngineConfig, EngineStats, ExecMode, Sim};
+use atlantis_chdl::{Design, EngineConfig, EngineStats, ExecMode, Sim};
 use atlantis_simcore::rng::WorkloadRng;
 use std::time::Instant;
 
@@ -32,8 +28,6 @@ const REPS: usize = 5;
 const BUILDS: usize = 20;
 /// The track-finding threshold the serving context applies.
 const THRESHOLD: u32 = 24;
-/// Stepped cycles per dispatch-gate timing block.
-const GATE_CYCLES: u64 = 2000;
 
 /// The serving bank and one served event per seed, generated as the
 /// serving context generates them.
@@ -74,16 +68,12 @@ fn main() -> std::process::ExitCode {
         edit(&mut config);
         Some(config)
     };
+    // `adaptive off` is `EngineConfig::serial()`.
     let rows = [
-        (
-            "default (fuse, adaptive, auto dispatch)",
-            Some(EngineConfig::default()),
-        ),
+        ("default (fuse, adaptive)", Some(EngineConfig::default())),
         ("fuse off", knob(|c| c.fuse = false)),
         ("adaptive off", knob(|c| c.adaptive = false)),
-        ("match dispatch", knob(|c| c.dispatch = DispatchMode::Match)),
         ("EngineConfig::unfused()", Some(EngineConfig::unfused())),
-        ("EngineConfig::serial()", Some(EngineConfig::serial())),
         ("Design::optimized() before Sim::new", None),
     ];
     let build = |config: Option<EngineConfig>, d: &Design| match config {
@@ -166,98 +156,19 @@ fn main() -> std::process::ExitCode {
             exact[k],
         );
     }
-    dispatch_gate(&mut c);
-    atlantis_bench::conclude("ablation_engine", c)
-}
-
-/// One dispatch tier on one design, best of `REPS`: build µs, stepped
-/// ns/cycle, and the outputs after the last block.
-fn time_dispatch(design: &Design, dispatch: DispatchMode) -> (f64, f64, Vec<u64>) {
-    let config = EngineConfig {
-        dispatch,
-        ..EngineConfig::default()
-    };
-    let inputs = design.inputs();
-    let (mut build_us, mut step_ns, mut outputs) = (f64::INFINITY, f64::INFINITY, Vec::new());
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let mut sim = Sim::with_config(design, ExecMode::Compiled, config);
-        build_us = build_us.min(t.elapsed().as_secs_f64() * 1e6);
-        // xorshift64: the same stimulus for every tier and block.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let t = Instant::now();
-        for _ in 0..GATE_CYCLES {
-            for (name, width) in &inputs {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                sim.set(name, x >> (64 - u32::from(*width)));
-            }
-            sim.step();
-        }
-        step_ns = step_ns.min(t.elapsed().as_secs_f64() * 1e9 / GATE_CYCLES as f64);
-        outputs = design
-            .output_ports()
-            .iter()
-            .map(|(name, _)| sim.get(name))
-            .collect();
-    }
-    (build_us, step_ns, outputs)
-}
-
-/// The `Auto` dispatch gate on the served designs below it (see the
-/// module docs).
-fn dispatch_gate(c: &mut Checker) {
-    let mut table = Table::new(
-        format!(
-            "Ablation: the Auto dispatch gate on the served designs ({GATE_CYCLES} stepped cycles)"
-        ),
-        &[
-            "design",
-            "final ops",
-            "match build (us)",
-            "threaded build (us)",
-            "match ns/cycle",
-            "threaded ns/cycle",
-            "break-even cycles",
-        ],
+    // Each knob must pay on served events (DESIGN.md §12 gives the
+    // measured margins).
+    c.check_band(
+        "fuse off: us/event over the default (>= 1.5x required)",
+        event_us[1] / event_us[0],
+        1.5,
+        1e6,
     );
-    let mut checks = Vec::new();
-    for kind in JobKind::ALL {
-        let design = kind.build_design();
-        let name = kind.design_name();
-        let mut auto = Sim::new(&design);
-        auto.step();
-        let stats = auto.engine_stats().unwrap().clone();
-        let (match_build, match_ns, match_out) = time_dispatch(&design, DispatchMode::Match);
-        let (threaded_build, threaded_ns, threaded_out) =
-            time_dispatch(&design, DispatchMode::Threaded);
-        let saved_ns = match_ns - threaded_ns;
-        let break_even = if saved_ns > 0.0 {
-            f((threaded_build - match_build).max(0.0) * 1e3 / saved_ns, 0)
-        } else {
-            "never".to_string()
-        };
-        table.row(&[
-            name.to_string(),
-            stats.ops_final.to_string(),
-            f(match_build, 1),
-            f(threaded_build, 1),
-            f(match_ns, 1),
-            f(threaded_ns, 1),
-            break_even,
-        ]);
-        checks.push((
-            format!("{name}: Auto keeps match dispatch"),
-            stats.compiles == 0 && stats.evals_threaded == 0,
-        ));
-        checks.push((
-            format!("{name}: match and threaded outputs agree"),
-            match_out == threaded_out,
-        ));
-    }
-    table.print();
-    for (name, ok) in checks {
-        c.check(name, ok);
-    }
+    c.check_band(
+        "adaptive off: us/event over the default (> 1.0x required)",
+        event_us[2] / event_us[0],
+        1.0f64.next_up(),
+        1e6,
+    );
+    atlantis_bench::conclude("ablation_engine", c)
 }

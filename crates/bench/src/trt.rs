@@ -143,13 +143,12 @@ pub fn print_fusion_ledger(stats: &EngineStats) {
     }
 }
 
-/// Print the dispatch/compile ledger of a compiled TRT sim: which
-/// dispatch tier evals took and what the closure compiler built.
+/// Print the dispatch/compile ledger of a compiled TRT sim: how many
+/// evals ran the threaded program and what the closure compiler built.
 pub fn print_dispatch_ledger(stats: &EngineStats) {
     println!(
-        "dispatch: {} threaded evals, {} match evals ({} compiles, {} blocks, {} closures, {:.1} us compile)",
+        "dispatch: {} threaded evals ({} compiles, {} blocks, {} closures, {:.1} us compile)",
         stats.evals_threaded,
-        stats.evals_match,
         stats.compiles,
         stats.blocks_built,
         stats.closures_specialized,

@@ -41,17 +41,17 @@
 //! persistent scratch buffer holds sampled state and the dirty queues reach
 //! a steady-state capacity that is reused across edges.
 //!
-//! Since PR 8 the stream can additionally be **compiled to direct-threaded
-//! code** ([`DispatchMode`]): every surviving micro-op is specialized into
-//! a boxed closure with its opcode, operand slots, masks, shifts and
-//! immediates captured as constants (no per-op field loads, no opcode
-//! `match`), and the closures are chained into straight-line per-level
-//! blocks that the sweep paths execute back to back. `Auto` (the default)
-//! compiles streams large enough to amortize the build cost; backdoor
-//! memory pokes drop the compiled program, the next eval falls back to
-//! match dispatch once, and the program is rebuilt at the end of that
-//! eval. A compile ledger (blocks built, closures specialized, compile
-//! time, dispatch mode taken per eval) is reported in [`EngineStats`].
+//! The stream runs as **direct-threaded code**: every surviving micro-op
+//! is specialized into a boxed closure with its opcode, operand slots,
+//! masks, shifts and immediates captured as constants (no per-op field
+//! loads, no opcode `match`), and the closures are chained into
+//! straight-line per-level blocks that the sweep paths execute back to
+//! back. The program is built once, at lowering time, and kept across
+//! backdoor memory pokes: no closure or block captures memory contents,
+//! they read the banks at call time. Only a clone starts without one and
+//! builds it on its first eval. A compile ledger (compiles, blocks built,
+//! closures specialized, compile time, evals run) is reported in
+//! [`EngineStats`].
 //!
 //! The tree-walking interpreter in `sim.rs` is retained as the reference
 //! oracle (it shares the lowering and scalar-execution helpers below, so
@@ -136,7 +136,8 @@ const OP_INC_IF: u8 = 39;
 /// select tree collapsed into one table-lookup dispatch. `b` is the
 /// selector shift (0 for trees bottoming out at bit 0), `c` indexes the
 /// first of `imm + 1` leaf node ids in the engine's `sel_tab` side table.
-/// Never reaches `exec_scalar`: every execution path gathers it specially.
+/// Never reaches `exec_scalar`: the threaded program gathers it through a
+/// closure that owns a copy of its leaf table.
 const OP_SELECT: u8 = 40;
 
 /// Mnemonic for an opcode (superop histograms, diagnostics).
@@ -202,28 +203,10 @@ fn repack_parts(c: u32) -> (u32, u32, u32, u64, u64) {
 
 // ---- public configuration & statistics -----------------------------------
 
-/// How the levelized micro-op stream is dispatched at eval time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Per-op `match` dispatch through the shared scalar-execution helper
-    /// (the PR 1/PR 6 engine).
-    Match,
-    /// Direct-threaded dispatch: every op is compiled into a specialized
-    /// closure (opcode, operand slots, masks and immediates captured as
-    /// constants) and the closures are chained into straight-line
-    /// per-level blocks.
-    Threaded,
-    /// Threaded above a stream-size threshold, match below it (the
-    /// default): tiny cones never amortize the compile cost.
-    #[default]
-    Auto,
-}
-
 /// Knobs controlling how a design is lowered onto the compiled engine.
 ///
-/// The default (`fuse` and `adaptive` on, [`DispatchMode::Auto`]) is what
-/// `Sim::new` uses; `Sim::with_config` takes any other configuration as a
-/// value.
+/// The default (`fuse` and `adaptive` on) is what `Sim::new` uses;
+/// `Sim::with_config` takes any other configuration as a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Run the peephole + superop fusion pass over the lowered stream.
@@ -233,8 +216,6 @@ pub struct EngineConfig {
     /// one cascades through every deeper level). Off, every eval drains
     /// the per-level dirty queues op by op.
     pub adaptive: bool,
-    /// Dispatch backend: per-op `match` or compiled closure chains.
-    pub dispatch: DispatchMode,
 }
 
 impl Default for EngineConfig {
@@ -242,30 +223,26 @@ impl Default for EngineConfig {
         EngineConfig {
             fuse: true,
             adaptive: true,
-            dispatch: DispatchMode::Auto,
         }
     }
 }
 
 impl EngineConfig {
-    /// Fusion on, adaptive sweeps off, match dispatch — the serial fused
-    /// engine (a bench baseline; dispatch stays `Match` so speedup floors
-    /// measure one change at a time).
+    /// Fusion on, adaptive sweeps off — the serial fused engine (a bench
+    /// baseline).
     pub fn serial() -> Self {
         EngineConfig {
             fuse: true,
             adaptive: false,
-            dispatch: DispatchMode::Match,
         }
     }
 
-    /// Fusion and adaptive sweeps off, match dispatch — the raw lowered
-    /// stream (benchmark baseline).
+    /// Fusion and adaptive sweeps off — the raw lowered stream (benchmark
+    /// baseline).
     pub fn unfused() -> Self {
         EngineConfig {
             fuse: false,
             adaptive: false,
-            dispatch: DispatchMode::Match,
         }
     }
 }
@@ -288,8 +265,8 @@ pub struct EngineStats {
     pub ops_elided: usize,
     /// Logic levels in the final stream.
     pub levels: usize,
-    /// Threaded-dispatch compile passes run: the eager build at lowering
-    /// time plus every rebuild after a backdoor poke.
+    /// Threaded-program builds: the one at lowering time, plus one on a
+    /// clone's first eval (a clone starts without a program).
     pub compiles: usize,
     /// Straight-line per-level blocks built across all compiles.
     pub blocks_built: usize,
@@ -299,10 +276,10 @@ pub struct EngineStats {
     /// non-deterministic ledger field — determinism fingerprints must
     /// exclude it.
     pub compile_ns: u64,
-    /// Evals that dispatched through a compiled threaded program.
+    /// Evals that did work: every one runs the threaded program.
     pub evals_threaded: u64,
-    /// Evals that dispatched through the per-op `match` path (includes
-    /// the fallback eval right after a poke invalidates the program).
+    /// Always 0: the per-op `match` dispatch tier is gone. The field is
+    /// kept because the served-path benchmark still reads it.
     pub evals_match: u64,
     /// Final-stream population of each fused superop mnemonic.
     pub superops: Vec<(&'static str, usize)>,
@@ -520,10 +497,6 @@ const CASCADE_MIN_SPAN: usize = 128;
 /// A level at least half-queued is swept densely (with change detection)
 /// instead of drained per-op, when at least this many ops wide.
 const DENSE_MIN_SPAN: usize = 64;
-/// `DispatchMode::Auto` compiles the stream to threaded closure chains at
-/// this op count; below it the per-op `match` path runs unchanged (one
-/// boxed closure per op never amortizes on tiny cones).
-const THREADED_MIN_OPS: usize = 128;
 /// Minimum same-opcode run length that earns a specialized run block;
 /// shorter segments are merged into packed-dispatch tail blocks (a
 /// singleton "loop" would cost more in block-call overhead than its
@@ -568,17 +541,30 @@ type BlockFn = Box<dyn Fn(&mut ExecState) + Send>;
 /// direct threading). Sorting within a level is safe: levelization
 /// guarantees same-level ops never consume each other's destinations.
 struct ThreadedProgram {
-    /// `(dst, compute)` per op, in stream (level) order.
-    ops: Vec<(u32, OpFn)>,
+    /// One compute closure per op, in stream (level) order.
+    ops: Vec<OpFn>,
     /// Run blocks, level-major; each executes one same-opcode run.
     runs: Vec<BlockFn>,
     /// Level `l`'s run blocks are `runs[run_start[l]..run_start[l + 1]]`.
     run_start: Vec<u32>,
 }
 
+impl ThreadedProgram {
+    /// Straight-line execute every level from `from` down, no bookkeeping:
+    /// the per-level blocks run back to back with no opcode dispatch, no
+    /// field loads, and no change detection.
+    fn exec_levels_raw(&self, from: usize, vals: &mut [u64], mems: &[Vec<u64>]) {
+        let mut st = ExecState { vals, mems };
+        for run in &self.runs[self.run_start[from] as usize..] {
+            run(&mut st);
+        }
+    }
+}
+
 /// Cache slot for the compiled scalar program. Cloning an engine (design
-/// forks) drops the program — the clone rebuilds on its next eval — and
-/// `Debug` prints only presence, keeping `CompiledEngine`'s derives intact.
+/// forks) drops the program — the clone builds its own on its first eval
+/// — and `Debug` prints only presence, keeping `CompiledEngine`'s derives
+/// intact.
 #[derive(Default)]
 struct ProgramCache(Option<ThreadedProgram>);
 
@@ -798,11 +784,8 @@ pub(crate) struct CompiledEngine {
     adaptive: bool,
 
     // ---- direct-threaded dispatch ----
-    /// Whether this stream dispatches through compiled closure chains
-    /// (resolved from [`DispatchMode`] against the final op count).
-    use_threaded: bool,
-    /// Compiled scalar program (dropped by backdoor pokes and clones;
-    /// rebuilt at the end of the next eval).
+    /// Compiled scalar program: built at lowering time and kept across
+    /// pokes; empty only in a clone that has not evaluated yet.
     threaded: ProgramCache,
 
     // ---- observability ----
@@ -983,7 +966,6 @@ impl CompiledEngine {
             mem_cons: vec![Vec::new(); mem_count],
             level_start: Vec::new(),
             adaptive: config.adaptive,
-            use_threaded: false,
             threaded: ProgramCache::default(),
             computed: Vec::new(),
             folded,
@@ -1078,13 +1060,6 @@ impl CompiledEngine {
             }
         }
 
-        let ops_final = eng.op_code.len();
-        eng.use_threaded = match config.dispatch {
-            DispatchMode::Match => false,
-            DispatchMode::Threaded => true,
-            DispatchMode::Auto => ops_final >= THREADED_MIN_OPS,
-        };
-
         // State-commit plan: registers grouped by (clr, en) presence so the
         // per-cycle sampling loops are branch-free within each class.
         let mut by_kind: [Vec<u32>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
@@ -1152,7 +1127,7 @@ impl CompiledEngine {
         eng.scratch = vec![0; eng.reg_dst.len() + eng.sr_dst.len()];
 
         // Final stream statistics.
-        eng.stats.ops_final = ops_final;
+        eng.stats.ops_final = eng.op_code.len();
         eng.stats.levels = level_count;
         let mut superops: Vec<(&'static str, usize)> = Vec::new();
         let mut opcodes: Vec<(&'static str, usize)> = Vec::new();
@@ -1175,9 +1150,7 @@ impl CompiledEngine {
         opcodes.sort_by(by_count);
         eng.stats.superops = superops;
         eng.stats.opcodes = opcodes;
-        if eng.use_threaded {
-            eng.rebuild_threaded();
-        }
+        eng.threaded = ProgramCache(Some(eng.build_threaded()));
         eng
     }
 
@@ -1187,8 +1160,8 @@ impl CompiledEngine {
     /// the arm *once here*, and operand slots, masks, shifts and derived
     /// constants (repack parts, `mask64` widths, CAT3 shift pair, owned
     /// `OP_SELECT` leaf tables) are captured rather than re-loaded and
-    /// re-decoded on every execution. Must mirror [`exec_scalar`] (and the
-    /// special `OP_SELECT` gather in [`CompiledEngine::exec_op`]) exactly.
+    /// re-decoded on every execution. Must mirror [`exec_scalar`] exactly;
+    /// the `OP_SELECT` arm is that opcode's only implementation.
     fn compile_op(&self, i: usize) -> OpFn {
         let (a, b, c) = (self.op_a[i], self.op_b[i], self.op_c[i]);
         let imm = self.op_imm[i];
@@ -1485,8 +1458,8 @@ impl CompiledEngine {
     /// pay a boxed block call plus loop setup *per op*. Packing those ops'
     /// fields into dense columns and dispatching through [`exec_scalar`]
     /// inside a single block keeps the per-op cost at one predictable
-    /// match branch — the same dispatch the match sweep runs — while the
-    /// whole chain costs one boxed call instead of dozens.
+    /// match branch, while the whole chain costs one boxed call instead of
+    /// dozens.
     fn compile_tail(&self, idxs: &[usize]) -> BlockFn {
         let order = self.chain_schedule(idxs);
         // After chain scheduling, serial chains are contiguous same-opcode
@@ -1621,15 +1594,15 @@ impl CompiledEngine {
         })
     }
 
-    /// Build (or rebuild, after a backdoor poke or clone) the scalar
-    /// threaded program: one specialized closure per op for the
+    /// Build the scalar threaded program (at lowering time, or on a
+    /// clone's first eval): one specialized closure per op for the
     /// incremental path, plus the dense sweep plan — each
     /// level's ops sorted by opcode and compiled into run blocks —
     /// recording the compile ledger.
-    fn rebuild_threaded(&mut self) {
+    fn build_threaded(&mut self) -> ThreadedProgram {
         let t0 = std::time::Instant::now();
-        let ops: Vec<(u32, OpFn)> = (0..self.op_code.len())
-            .map(|i| (self.op_dst[i], self.compile_op(i)))
+        let ops: Vec<OpFn> = (0..self.op_code.len())
+            .map(|i| self.compile_op(i))
             .collect();
         let levels = self.level_start.len() - 1;
         let mut runs: Vec<BlockFn> = Vec::new();
@@ -1680,22 +1653,11 @@ impl CompiledEngine {
         self.stats.blocks_built += runs.len();
         self.stats.closures_specialized += ops.len();
         self.stats.compile_ns += t0.elapsed().as_nanos() as u64;
-        self.threaded = ProgramCache(Some(ThreadedProgram {
+        ThreadedProgram {
             ops,
             runs,
             run_start,
-        }));
-    }
-
-    /// Backdoor-poke invalidation: mark the memory's read cone dirty *and*
-    /// drop the compiled scalar program. The contract is conservative —
-    /// the next eval runs match dispatch once, then rebuilds — which keeps
-    /// poked state and compiled state trivially coherent. Cycle-path
-    /// memory writes ([`CompiledEngine::apply_writes`]) go through
-    /// [`CompiledEngine::mark_mem_dirty`] directly and never invalidate.
-    pub(crate) fn poke_invalidate(&mut self, mem: u32) {
-        self.mark_mem_dirty(mem);
-        self.threaded = ProgramCache(None);
+        }
     }
 
     /// Visit the value-operand node indices of op `i` (for `OP_SELECT`,
@@ -1711,24 +1673,6 @@ impl CompiledEngine {
             return;
         }
         visit_code_operands(eng.op_code[i], eng.op_a[i], eng.op_b[i], eng.op_c[i], f);
-    }
-
-    /// Execute op `i` against the value array. The single hot dispatch.
-    #[inline(always)]
-    fn exec_op(&self, i: usize, vals: &[u64], mems: &[Vec<u64>]) -> u64 {
-        if self.op_code[i] == OP_SELECT {
-            let idx = ((vals[self.op_a[i] as usize] >> self.op_b[i]) & self.op_imm[i]) as usize;
-            return vals[self.sel_tab[self.op_c[i] as usize + idx] as usize];
-        }
-        exec_scalar(
-            self.op_code[i],
-            self.op_a[i],
-            self.op_b[i],
-            self.op_c[i],
-            self.op_imm[i],
-            &mut |n| vals[n as usize],
-            &mut |m, addr| mems[m as usize].get(addr as usize).copied().unwrap_or(0),
-        )
     }
 
     /// Mark every op consuming `node` dirty (queued at its level).
@@ -1748,9 +1692,11 @@ impl CompiledEngine {
         }
     }
 
-    /// Mark every async read port of memory `mem` dirty (after a poke or a
-    /// committed write).
-    fn mark_mem_dirty(&mut self, mem: u32) {
+    /// Mark every async read port of memory `mem` dirty (after a backdoor
+    /// poke or a committed write). This is all a poke needs: read-port
+    /// closures and packed tail blocks read the banks at call time, and
+    /// pass A never folds a memory read.
+    pub(crate) fn mark_mem_dirty(&mut self, mem: u32) {
         if self.full_dirty {
             return;
         }
@@ -1788,32 +1734,27 @@ impl CompiledEngine {
     /// dense, switches to straight-line sweeps of whole level ranges,
     /// skipping per-op queue bookkeeping.
     ///
-    /// Under threaded dispatch the compiled program is taken out of its
-    /// cache slot for the duration of the eval (the borrow checker cannot
-    /// see that the program and the queue state are disjoint), every
-    /// dispatch site below substitutes the specialized closures, and the
-    /// program is put back — or rebuilt, if a poke dropped it, so exactly
-    /// one post-poke eval runs match dispatch.
+    /// The compiled program is taken out of its cache slot for the
+    /// duration of the eval (the borrow checker cannot see that the
+    /// program and the queue state are disjoint) and put back afterwards.
+    /// The slot is empty only in a clone, which builds its program here.
     pub(crate) fn eval(&mut self, vals: &mut [u64], mems: &[Vec<u64>]) {
         if !self.full_dirty && !self.any_dirty {
             return;
         }
-        let prog = self.threaded.0.take();
-        match prog.as_ref() {
-            Some(_) => self.stats.evals_threaded += 1,
-            None => self.stats.evals_match += 1,
-        }
-        self.eval_inner(prog.as_ref(), vals, mems);
-        self.threaded.0 = prog;
-        if self.use_threaded && self.threaded.0.is_none() {
-            self.rebuild_threaded();
-        }
+        let prog = match self.threaded.0.take() {
+            Some(prog) => prog,
+            None => self.build_threaded(),
+        };
+        self.stats.evals_threaded += 1;
+        self.eval_inner(&prog, vals, mems);
+        self.threaded.0 = Some(prog);
     }
 
-    /// The eval body, parameterized over the dispatch backend.
-    fn eval_inner(&mut self, prog: Option<&ThreadedProgram>, vals: &mut [u64], mems: &[Vec<u64>]) {
+    /// The eval body, run through the threaded program.
+    fn eval_inner(&mut self, prog: &ThreadedProgram, vals: &mut [u64], mems: &[Vec<u64>]) {
         if self.full_dirty {
-            self.exec_levels_raw(prog, 0, vals, mems);
+            prog.exec_levels_raw(0, vals, mems);
             self.full_dirty = false;
             self.reset_dirty();
             return;
@@ -1852,7 +1793,7 @@ impl CompiledEngine {
                 queue.clear();
                 self.level_queues[lvl] = queue;
                 for op in lo..hi {
-                    let new = self.compute_op(prog, op, vals, mems);
+                    let new = (prog.ops[op])(vals, mems);
                     let dst = self.op_dst[op];
                     if vals[dst as usize] != new {
                         vals[dst as usize] = new;
@@ -1865,34 +1806,17 @@ impl CompiledEngine {
         }
         match cascade_from {
             Some(from) => {
-                self.exec_levels_raw(prog, from, vals, mems);
+                prog.exec_levels_raw(from, vals, mems);
                 self.reset_dirty();
             }
             None => self.any_dirty = false,
         }
     }
 
-    /// Compute op `i` through the active dispatch backend: the compiled
-    /// closure when a threaded program is in hand, the per-op `match`
-    /// otherwise.
-    #[inline(always)]
-    fn compute_op(
-        &self,
-        prog: Option<&ThreadedProgram>,
-        i: usize,
-        vals: &[u64],
-        mems: &[Vec<u64>],
-    ) -> u64 {
-        match prog {
-            Some(p) => (p.ops[i].1)(vals, mems),
-            None => self.exec_op(i, vals, mems),
-        }
-    }
-
     /// Drain one level's dirty queue per-op (the incremental path).
     fn drain_level(
         &mut self,
-        prog: Option<&ThreadedProgram>,
+        prog: &ThreadedProgram,
         lvl: usize,
         vals: &mut [u64],
         mems: &[Vec<u64>],
@@ -1903,7 +1827,7 @@ impl CompiledEngine {
         for &op32 in &queue {
             let op = op32 as usize;
             self.op_dirty[op] = false;
-            let new = self.compute_op(prog, op, vals, mems);
+            let new = (prog.ops[op])(vals, mems);
             let dst = self.op_dst[op];
             if vals[dst as usize] != new {
                 vals[dst as usize] = new;
@@ -1912,55 +1836,6 @@ impl CompiledEngine {
         }
         queue.clear();
         self.level_queues[lvl] = queue; // keep the allocation
-    }
-
-    /// Straight-line execute every level from `from` down, no bookkeeping.
-    /// Under threaded dispatch this is the closure-chain fast path: the
-    /// per-level blocks run back to back with no opcode dispatch, no field
-    /// loads, and no change detection.
-    fn exec_levels_raw(
-        &self,
-        prog: Option<&ThreadedProgram>,
-        from: usize,
-        vals: &mut [u64],
-        mems: &[Vec<u64>],
-    ) {
-        if let Some(p) = prog {
-            let mut st = ExecState { vals, mems };
-            for run in &p.runs[p.run_start[from] as usize..] {
-                run(&mut st);
-            }
-        } else {
-            // The stream is already topological — one flat sweep.
-            // Equal-length sub-slices let the optimizer hoist the op-array
-            // bounds checks out of the (hot) loop.
-            let lo = self.level_start[from] as usize;
-            let len = self.op_code.len() - lo;
-            let codes = &self.op_code[lo..lo + len];
-            let dsts = &self.op_dst[lo..lo + len];
-            let aa = &self.op_a[lo..lo + len];
-            let bb = &self.op_b[lo..lo + len];
-            let cc = &self.op_c[lo..lo + len];
-            let imms = &self.op_imm[lo..lo + len];
-            let tab = &self.sel_tab;
-            for k in 0..len {
-                let new = if codes[k] == OP_SELECT {
-                    let idx = ((vals[aa[k] as usize] >> bb[k]) & imms[k]) as usize;
-                    vals[tab[cc[k] as usize + idx] as usize]
-                } else {
-                    exec_scalar(
-                        codes[k],
-                        aa[k],
-                        bb[k],
-                        cc[k],
-                        imms[k],
-                        &mut |n| vals[n as usize],
-                        &mut |m, addr| mems[m as usize].get(addr as usize).copied().unwrap_or(0),
-                    )
-                };
-                vals[dsts[k] as usize] = new;
-            }
-        }
     }
 
     /// Sample next-state into the persistent scratch buffer (phase 1:
@@ -2110,16 +1985,6 @@ impl CompiledEngine {
         for _ in 0..n {
             self.step(vals, mems);
         }
-    }
-
-    /// Number of micro-ops in the stream (diagnostics).
-    pub(crate) fn op_count(&self) -> usize {
-        self.op_code.len()
-    }
-
-    /// Number of logic levels (diagnostics).
-    pub(crate) fn level_count(&self) -> usize {
-        self.level_queues.len()
     }
 
     /// Lowering / fusion statistics for this stream.

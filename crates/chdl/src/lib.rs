@@ -64,7 +64,7 @@ pub mod stdcells;
 pub mod trace;
 pub mod vcd;
 
-pub use engine::{DispatchMode, EngineConfig, EngineStats};
+pub use engine::{EngineConfig, EngineStats};
 pub use error::ChdlError;
 pub use netlist::{Design, MemId, NetlistStats, RegSlot};
 pub use nir::{

@@ -100,7 +100,7 @@ impl Sim {
     }
 
     /// Elaborate and instantiate with an explicit execution engine and
-    /// explicit engine tuning (fusion, adaptive sweeps, dispatch).
+    /// explicit engine tuning (fusion, adaptive sweeps).
     pub fn try_with_config(
         design: &Design,
         mode: ExecMode,
@@ -537,24 +537,15 @@ impl Sim {
 
     fn invalidate_mem(&mut self, mem: u32) {
         match &mut self.engine {
-            // Backdoor pokes also drop any compiled threaded program (the
-            // next eval runs match dispatch once, then rebuilds); cycle-path
-            // memory writes never come through here.
-            Some(engine) => engine.poke_invalidate(mem),
+            // The compiled program reads memory at call time, so a poke
+            // only has to queue the memory's async read ports.
+            Some(engine) => engine.mark_mem_dirty(mem),
             None => self.dirty = true,
         }
     }
 
-    /// Diagnostics: `(micro-ops, logic levels)` of the compiled stream, or
-    /// `None` in interpreter mode.
-    pub fn compiled_stats(&self) -> Option<(usize, usize)> {
-        self.engine
-            .as_ref()
-            .map(|e| (e.op_count(), e.level_count()))
-    }
-
     /// Full compile-time stream statistics — ops before/after fusion,
-    /// peephole counters, the superop and opcode histograms, the dispatch
+    /// peephole counters, the superop and opcode histograms, the compile
     /// ledger —
     /// or `None` in interpreter mode. Benches serialize these so fusion
     /// rates are tracked over time.
@@ -1068,14 +1059,14 @@ mod tests {
     }
 
     #[test]
-    fn compiled_stats_report_stream_shape() {
+    fn engine_stats_report_stream_shape() {
         let d = kitchen_sink();
         let sim = Sim::new(&d);
-        let (ops, levels) = sim.compiled_stats().unwrap();
+        let stats = sim.engine_stats().unwrap();
+        let (ops, levels) = (stats.ops_final, stats.levels);
         assert!(ops > 5, "kitchen sink lowers to several ops, got {ops}");
         assert!(levels >= 2, "kitchen sink has logic depth, got {levels}");
         let oracle = Sim::with_mode(&d, ExecMode::Interpreted);
-        assert_eq!(oracle.compiled_stats(), None);
         assert!(oracle.engine_stats().is_none());
     }
 
@@ -1163,19 +1154,8 @@ mod tests {
             EngineConfig::serial(),
             EngineConfig::unfused(),
             EngineConfig {
+                fuse: false,
                 adaptive: true,
-                dispatch: crate::DispatchMode::Match,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                adaptive: true,
-                dispatch: crate::DispatchMode::Threaded,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                adaptive: false,
-                dispatch: crate::DispatchMode::Threaded,
-                ..EngineConfig::default()
             },
         ];
         let mut oracle = Sim::with_mode(&d, ExecMode::Interpreted);

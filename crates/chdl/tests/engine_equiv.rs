@@ -11,13 +11,16 @@
 //! produce bit-exact outputs on every cycle of a shared random stimulus —
 //! at least 1000 cycles per case, covering both per-cycle stepping (the
 //! incremental path) and [`Sim::run_batch`] (the fused dense path) — and
-//! identical final memory contents.
+//! identical final memory contents. The deep-chain and wide-level suites
+//! co-simulate all four `EngineConfig`s (fusion on/off × adaptive sweeps
+//! on/off); every one runs the same threaded closure program, the
+//! compiled engine's only dispatch.
 
 mod netgen;
 
 use atlantis_chdl::prelude::*;
 use atlantis_chdl::sim::ExecMode;
-use atlantis_chdl::{DispatchMode, EngineConfig};
+use atlantis_chdl::EngineConfig;
 use netgen::{
     build_design, build_design_with_chain, build_wide_design, wide_inputs, XorShift, MEM_WORDS,
     N_INPUTS, WIDE_LEVELS, WIDE_SPAN, WIDE_TAIL,
@@ -25,37 +28,16 @@ use netgen::{
 use proptest::prelude::*;
 
 /// Every engine tuning the equivalence suites co-simulate against the
-/// interpreter: fusion, adaptive sweeps and dispatch backend.
-fn engine_matrix() -> [EngineConfig; 8] {
+/// interpreter: fusion on or off, adaptive sweeps on or off.
+fn engine_matrix() -> [EngineConfig; 4] {
     [
-        EngineConfig::default(), // fused, adaptive, auto dispatch
-        EngineConfig::unfused(), // raw stream, per-op, match
-        EngineConfig {
-            adaptive: true,
-            dispatch: DispatchMode::Match, // adaptive sweeps, match dispatch
-            ..EngineConfig::default()
-        },
-        EngineConfig {
-            adaptive: true,
-            dispatch: DispatchMode::Threaded, // adaptive sweeps, closure chains
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(), // fused, adaptive sweeps
+        EngineConfig::serial(),  // fused, per-op drain
         EngineConfig {
             fuse: false,
-            adaptive: true,
-            dispatch: DispatchMode::Threaded, // adaptive threaded, raw stream
+            adaptive: true, // raw stream, adaptive sweeps
         },
-        EngineConfig::serial(), // per-op drain, match
-        EngineConfig {
-            adaptive: false,
-            dispatch: DispatchMode::Threaded, // per-op drain, closure chains
-            ..EngineConfig::default()
-        },
-        EngineConfig {
-            adaptive: false,
-            dispatch: DispatchMode::Auto, // per-op drain, auto dispatch
-            ..EngineConfig::default()
-        },
+        EngineConfig::unfused(), // raw stream, per-op drain
     ]
 }
 
@@ -122,14 +104,13 @@ proptest! {
         }
     }
 
-    /// Fused-vs-unfused, adaptive-vs-per-op and threaded-vs-match
-    /// co-simulation on netlists with deep combinational chains and
-    /// memory traffic. Every 13th stepped cycle holds the inputs and
-    /// instead pokes every word of memory `m` through the backdoor, which
-    /// the adaptive sweeps, per-op draining and the threaded program's
-    /// drop-and-rebuild must all see. Every engine tuning must
-    /// be bit-exact with the interpreter oracle, and the deep chain
-    /// guarantees the fusion pass actually fires.
+    /// Fused-vs-unfused and adaptive-vs-per-op co-simulation on netlists
+    /// with deep combinational chains and memory traffic. Every 13th
+    /// stepped cycle holds the inputs and instead pokes every word of
+    /// memory `m` through the backdoor, which the adaptive sweeps and
+    /// per-op draining must both see through the kept threaded program.
+    /// Every engine tuning must be bit-exact with the interpreter oracle,
+    /// and the deep chain guarantees the fusion pass actually fires.
     #[test]
     fn fused_and_adaptive_equivalence(
         recipes in proptest::collection::vec(
@@ -224,41 +205,25 @@ proptest! {
         d.expose_output("rs", rs);
 
         let mut compiled = Sim::new(&d);
-        // The stream is far below the Auto threshold, so force the closure
-        // chains on: pokes must drop the compiled program, not stale-read it.
-        let mut threaded = Sim::with_config(
-            &d,
-            ExecMode::Compiled,
-            EngineConfig { dispatch: DispatchMode::Threaded, ..EngineConfig::default() },
-        );
         let mut oracle = Sim::with_mode(&d, ExecMode::Interpreted);
         let mut stim = XorShift(seed);
         for (a, v) in pokes {
             compiled.set("addr", a as u64);
-            threaded.set("addr", a as u64);
             oracle.set("addr", a as u64);
             prop_assert_eq!(compiled.get("ra"), oracle.get("ra"));
-            prop_assert_eq!(threaded.get("ra"), oracle.get("ra"));
             compiled.poke_mem(mem, a, v & 0xFFFF);
-            threaded.poke_mem(mem, a, v & 0xFFFF);
             oracle.poke_mem(mem, a, v & 0xFFFF);
             prop_assert_eq!(compiled.get("ra"), oracle.get("ra"), "held addr {}", a);
-            prop_assert_eq!(threaded.get("ra"), oracle.get("ra"), "held addr {}", a);
             // Then a fresh address, as a normal read would set it.
             let probe = stim.next() % MEM_WORDS as u64;
             compiled.set("addr", probe);
-            threaded.set("addr", probe);
             oracle.set("addr", probe);
             prop_assert_eq!(compiled.get("ra"), oracle.get("ra"));
-            prop_assert_eq!(threaded.get("ra"), oracle.get("ra"));
             compiled.step();
-            threaded.step();
             oracle.step();
             prop_assert_eq!(compiled.get("rs"), oracle.get("rs"));
-            prop_assert_eq!(threaded.get("rs"), oracle.get("rs"));
         }
         prop_assert_eq!(compiled.dump_mem(mem), oracle.dump_mem(mem));
-        prop_assert_eq!(threaded.dump_mem(mem), oracle.dump_mem(mem));
     }
 }
 
@@ -324,82 +289,43 @@ proptest! {
     }
 }
 
-/// `DispatchMode::Auto` must pick the dispatch tier from the stream size:
-/// tiny netlists stay on match dispatch (no compile pass at all), big ones
-/// compile closure chains eagerly — and a backdoor poke must tear the
-/// compiled program down, run exactly one match-dispatched eval, then
-/// recompile.
+/// Every compiled `Sim`, however small, builds its threaded program once
+/// in `Sim::new` and keeps it: a backdoor poke only queues the memory's
+/// read ports, because the read-port closures read the banks at call
+/// time. A clone starts without a program and builds one on its first
+/// eval.
 #[test]
-fn auto_dispatch_threshold_and_poke_fallback() {
-    // Small design: two memory reads, well under the Auto threshold.
+fn program_is_built_once_and_kept_across_pokes() {
+    // Two ops: small designs compile too.
     let mut d = Design::new("tiny");
     let addr = d.input("addr", 5);
     let mem = d.memory("m", MEM_WORDS, 16);
     let ra = d.read_async(mem, addr);
     d.expose_output("ra", ra);
 
-    let mut small = Sim::new(&d);
+    let mut sim = Sim::new(&d);
+    assert_eq!(sim.engine_stats().unwrap().compiles, 1);
     for a in 0..8u64 {
-        small.set("addr", a);
-        let _ = small.get("ra");
-        small.step();
-    }
-    let st = small.engine_stats().unwrap();
-    assert_eq!(st.compiles, 0, "tiny stream must not trigger a compile");
-    assert_eq!(st.evals_threaded, 0);
-    assert!(
-        st.evals_match > 0,
-        "tiny stream evals must run match dispatch"
-    );
-
-    // Big design: deep chain far above the Auto threshold.
-    let recipes: Vec<(u8, u16, u16, u8)> = (0..16u16)
-        .map(|i| (i as u8 * 17, 1000 + i, 2000 + 3 * i, i as u8))
-        .collect();
-    let (big, outputs) = build_design_with_chain(&recipes, 600);
-    let mut sim = Sim::new(&big);
-    let mut stim = XorShift(0x41544C41_u64);
-    for _ in 0..8 {
-        for i in 0..N_INPUTS {
-            sim.set(&format!("in{i}"), stim.next());
-        }
-        for name in &outputs {
-            let _ = sim.get(name);
-        }
+        sim.set("addr", a);
+        let _ = sim.get("ra");
+        sim.poke_mem(mem, a as usize, 0x100 + a);
+        assert_eq!(sim.get("ra"), 0x100 + a, "poked word at {a} must read back");
         sim.step();
     }
-    let before = sim.engine_stats().unwrap().clone();
-    assert!(before.compiles >= 1, "big stream must compile under Auto");
-    assert!(
-        before.evals_threaded > 0,
-        "big stream evals must run threaded"
-    );
-    assert!(before.closures_specialized >= before.ops_final);
-    assert!(before.blocks_built > 0);
+    let st = sim.engine_stats().unwrap().clone();
+    assert_eq!(st.compiles, 1, "pokes must keep the program");
+    assert_eq!(st.evals_match, 0);
+    assert!(st.evals_threaded > 0);
 
-    // Backdoor poke: program dropped, one match eval, then a recompile.
-    let big_mem = big.find_memory("m").unwrap();
-    sim.poke_mem(big_mem, 0, 0xBEEF);
-    for name in &outputs {
-        let _ = sim.get(name);
-    }
-    let after = sim.engine_stats().unwrap().clone();
-    assert_eq!(
-        after.evals_match,
-        before.evals_match + 1,
-        "the first post-poke eval must fall back to match dispatch"
-    );
-    assert!(
-        after.compiles > before.compiles,
-        "poke must force a recompile"
-    );
-
-    // And the eval after the recompile is threaded again.
-    sim.set("in0", 7);
-    for name in &outputs {
-        let _ = sim.get(name);
-    }
-    let settled = sim.engine_stats().unwrap().clone();
-    assert!(settled.evals_threaded > after.evals_threaded);
-    assert_eq!(settled.evals_match, after.evals_match);
+    // A clone builds its own program once, on its first eval.
+    let mut fork = sim.clone();
+    assert_eq!(fork.engine_stats().unwrap().compiles, 1);
+    fork.set("addr", 31);
+    assert_eq!(fork.get("ra"), 0);
+    assert_eq!(fork.engine_stats().unwrap().compiles, 2);
+    fork.set("addr", 3);
+    assert_eq!(fork.get("ra"), 0x103);
+    let forked = fork.engine_stats().unwrap();
+    assert_eq!(forked.compiles, 2, "the clone builds only once");
+    assert_eq!(forked.evals_match, 0);
 }

@@ -534,10 +534,13 @@ impl Cluster {
     }
 
     /// Manually quarantine a board (fault injection / drain-for-repair).
-    /// Returns whether it took effect (a shard never loses its last
-    /// board).
+    /// Returns whether it took effect: an unknown shard or board is
+    /// refused, and a shard never loses its last board.
     pub fn quarantine_board(&mut self, shard: usize, board: usize) -> bool {
-        let took = self.shards[shard].engine.quarantine_board(board);
+        let Some(s) = self.shards.get_mut(shard) else {
+            return false;
+        };
+        let took = s.engine.quarantine_board(board);
         if took {
             self.stats.quarantined += 1;
         }

@@ -123,6 +123,8 @@ fn quarantine_reweights_traffic_away_from_degraded_shard() {
         if degrade {
             assert!(c.quarantine_board(0, 0));
             assert!(c.quarantine_board(0, 1));
+            // An unknown shard is refused, not a panic, and counts nothing.
+            assert!(!c.quarantine_board(99, 0));
         }
         c.run_open_loop(arrivals.iter().copied());
         let done = c.stats().per_shard_completed.clone();

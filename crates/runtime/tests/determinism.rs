@@ -142,19 +142,15 @@ fn fixed_seed_fault_campaigns_are_byte_identical_across_runs() {
     }
 }
 
-/// The closure-compiler ledger for one streamed run of the TRT netlist
-/// under forced threaded dispatch: every [`atlantis_chdl::EngineStats`]
-/// compile counter except `compile_ns`, which is wall-clock time and
-/// deliberately excluded — build duration varies run to run, but *what*
-/// was built and *which* tier every eval took must not.
+/// The closure-compiler ledger for one streamed run of the TRT netlist on
+/// the default engine: every [`atlantis_chdl::EngineStats`] compile
+/// counter except `compile_ns`, which is wall-clock time and deliberately
+/// excluded — build duration varies run to run, but *what* was built and
+/// how many evals ran must not.
 fn compile_ledger_fingerprint(seed: u64) -> String {
-    use atlantis_chdl::{DispatchMode, EngineConfig, ExecMode, Sim};
+    use atlantis_chdl::Sim;
     let design = atlantis_apps::trt::fpga::build_external_design(512, 4, 16);
-    let config = EngineConfig {
-        dispatch: DispatchMode::Threaded,
-        ..EngineConfig::default()
-    };
-    let mut sim = Sim::with_config(&design, ExecMode::Compiled, config);
+    let mut sim = Sim::new(&design);
     sim.set("valid", 1);
     sim.set("clear", 0);
     sim.set("pass", 1);
@@ -185,11 +181,11 @@ fn compile_ledger_fingerprint(seed: u64) -> String {
 #[test]
 fn threaded_compile_ledger_is_independent_of_seed_and_run() {
     // The compile ledger is a pure function of the netlist and the
-    // dispatch config: stimulus values change *what flows through* the
+    // engine config: stimulus values change *what flows through* the
     // compiled blocks but may not change how many blocks were built, how
-    // many closures were specialized, or which tier each eval dispatched
-    // to. (The adaptive sweep heuristics switch paths on dirty density,
-    // so any stimulus leak into the counters would surface here too.)
+    // many closures were specialized, or how many evals ran. (The
+    // adaptive sweep heuristics switch paths on dirty density, so any
+    // stimulus leak into the counters would surface here too.)
     let base = compile_ledger_fingerprint(1);
     for seed in [1u64, 99, 42, 7] {
         let fp = compile_ledger_fingerprint(seed);
