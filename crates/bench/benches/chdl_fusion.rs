@@ -6,7 +6,8 @@
 //!   [`atlantis_bench::trt`]): the raw micro-op stream
 //!   (`EngineConfig::unfused()`) versus the default engine — the fusion
 //!   pass (with the adaptive sweeps, which this sparse per-hit stimulus
-//!   hardly engages) must buy ≥1.5x ns/cycle.
+//!   hardly engages) must buy ≥1.5x ns/cycle, as the median over nine
+//!   back-to-back unfused/fused block pairs of each pair's ratio.
 //! * **Deep** (4096×16 nodes of mixed logic seeded by free-running
 //!   counters, so every level is dirty every cycle): serial per-op queue
 //!   evaluation (`EngineConfig::serial()`) versus the adaptive evaluator
@@ -16,7 +17,8 @@
 //! Every measured run is cross-checked bit-for-bit against the
 //! interpreter oracle (a prefix of it on the deep netlist), and the
 //! compiled-engine floor (≥2x over the interpreter) is re-asserted on the
-//! fused+adaptive configuration. Always writes `BENCH_fusion.json`.
+//! fused+adaptive configuration. Always writes `BENCH_fusion.json` and
+//! `BENCH_netopt.json` (the netlist-optimizer floors).
 //! `--test` is a fast smoke mode; the deep floors are sized for the full
 //! 4096×16 netlist.
 
@@ -122,7 +124,7 @@ fn main() -> std::process::ExitCode {
     let mut c = Checker::new();
 
     // ---- TRT-scale: fusion floor, isolated -----------------------------
-    let trt_cycles: u64 = if test_mode { 10_000 } else { 100_000 };
+    let block: u64 = if test_mode { 2_000 } else { 20_000 };
     let trt = trt_scale_design();
     let mut sims = [
         Sim::with_mode(&trt, ExecMode::Interpreted),
@@ -132,28 +134,34 @@ fn main() -> std::process::ExitCode {
     for sim in &mut sims {
         drive_trt(sim);
     }
-    // Interleaved best-of-N: the configurations alternate in short blocks
-    // so host-wide noise hits them alike, and each keeps its fastest block
-    // (the standard noise-robust point estimate).
-    let reps = 5;
-    let mut best = [f64::INFINITY; 3];
+    // Paired blocks: every rep runs the configurations back to back, so
+    // each unfused block is followed right away by the fused block it is
+    // compared against. The speedup is the median of the per-rep ratios:
+    // host noise spanning a pair cancels in its ratio, and the median
+    // drops the pairs a burst split.
+    const REPS: usize = 9;
+    let mut ns = [[0.0; 3]; REPS];
     let mut digests = [0u64; 3];
-    for _ in 0..reps {
+    for row in &mut ns {
         for (k, sim) in sims.iter_mut().enumerate() {
-            let (ns, d) = measure_trt(sim, &trt, trt_cycles / reps);
-            best[k] = best[k].min(ns);
+            let (t, d) = measure_trt(sim, &trt, block);
+            row[k] = t;
             digests[k] = digests[k].rotate_left(7) ^ d;
         }
     }
     let [oracle_out, unfused_out, fused_out] = digests;
-    let [_, unfused_ns, fused_ns] = best;
+    let median = |mut v: [f64; REPS]| {
+        v.sort_by(f64::total_cmp);
+        v[REPS / 2]
+    };
+    let fusion_speedup = median(ns.map(|[_, unfused, fused]| unfused / fused));
+    let (unfused_ns, fused_ns) = (median(ns.map(|r| r[1])), median(ns.map(|r| r[2])));
     let stats = sims[2].engine_stats().unwrap().clone();
-    let fusion_speedup = unfused_ns / fused_ns;
 
     print_fusion_ledger(&stats);
     print_dispatch_ledger(&stats);
-    println!("unfused : {unfused_ns:>8.1} ns/cycle");
-    println!("default : {fused_ns:>8.1} ns/cycle  ({fusion_speedup:.2}x)");
+    println!("unfused : {unfused_ns:>8.1} ns/cycle (median block)");
+    println!("default : {fused_ns:>8.1} ns/cycle (median block; {fusion_speedup:.2}x median paired ratio)");
 
     c.check(
         "TRT: fused engine agrees with the interpreter oracle",
@@ -242,7 +250,7 @@ fn main() -> std::process::ExitCode {
         1e6,
     );
 
-    // Netlist-optimizer floors, shared with `chdl_engine`; writes the
+    // Netlist-optimizer floors; this bench is the only writer of the
     // `BENCH_netopt.json` artifact CI parses.
     let netopt_ok = write_netopt_artifact(test_mode);
 

@@ -34,7 +34,7 @@ fn bench_runtime(c: &mut Criterion) {
     });
 
     c.bench_function("runtime_mixed_64_jobs_reconfig_aware", |b| {
-        b.iter(|| serve_batch(SchedPolicy::ReconfigAware { batch_window: 32 }, 64));
+        b.iter(|| serve_batch(SchedPolicy::default(), 64));
     });
 }
 

@@ -18,7 +18,7 @@
 use atlantis_bench::{f, Checker, Table};
 use atlantis_cluster::{
     run_closed_loop, AdmissionConfig, ClosedLoopConfig, Cluster, ClusterConfig, LoadGen,
-    LoadGenConfig, RoutingPolicy, StealConfig, StealingPolicy,
+    LoadGenConfig, RoutingPolicy, StealingPolicy,
 };
 use atlantis_runtime::{BitstreamCache, FabricKind, ShardConfig, ShardJob, ShardScheduler};
 use atlantis_simcore::{SimDuration, SimTime};
@@ -462,7 +462,7 @@ fn main() -> std::process::ExitCode {
     for &frac in &[1.0, 1.5, 2.0] {
         let rate = frac * steal_capacity;
         let off = steal_point(rate, StealingPolicy::Off);
-        let on = steal_point(rate, StealingPolicy::Enabled(StealConfig::default()));
+        let on = steal_point(rate, StealingPolicy::Enabled);
         for (name, arm) in [("off", &off), ("on", &on)] {
             steal_table.row(&[
                 format!("{frac:.1}x"),
@@ -498,10 +498,7 @@ fn main() -> std::process::ExitCode {
         "warm and cold steals both committed at 2.0x",
         on20.warm > 0 && on20.cold > 0,
     );
-    let replay = steal_point(
-        2.0 * steal_capacity,
-        StealingPolicy::Enabled(StealConfig::default()),
-    );
+    let replay = steal_point(2.0 * steal_capacity, StealingPolicy::Enabled);
     c.check(
         "stealing campaign fingerprints byte-identically on replay",
         replay.fingerprint == on20.fingerprint,

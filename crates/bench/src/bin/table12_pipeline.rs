@@ -62,9 +62,11 @@ fn run(base: RuntimeConfig) -> RunOutput {
         // Both arms batch aggressively so design switches (which cannot
         // be pipelined — the fabric is being rewritten) don't mask the
         // quantity under test.
-        policy: atlantis_runtime::SchedPolicy::ReconfigAware { batch_window: 64 },
-        scan_depth: 256,
-        aging_limit: 64,
+        policy: atlantis_runtime::SchedPolicy::ReconfigAware {
+            batch_window: 64,
+            scan_depth: 256,
+            aging_limit: 64,
+        },
         ..base
     };
     let system = AtlantisSystem::builder().with_acbs(ACBS).build();
@@ -156,7 +158,7 @@ fn main() -> std::process::ExitCode {
         f(occ[2], 3)
     );
     println!(
-        "buffer pool: {} hits, {} misses",
+        "DMA staging: {} transfers in place, {} grew a worker's buffer",
         pipe.stats.pool_hits, pipe.stats.pool_misses
     );
     for (name, s) in [("serial", &serial.stats), ("pipelined", &pipe.stats)] {

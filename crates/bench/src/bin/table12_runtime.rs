@@ -111,7 +111,7 @@ fn main() -> std::process::ExitCode {
 
     println!("mixed workload: {total} jobs from {CLIENTS} clients on {ACBS} ACBs, both policies\n");
     let fifo = run(SchedPolicy::Fifo);
-    let aware = run(SchedPolicy::ReconfigAware { batch_window: 32 });
+    let aware = run(SchedPolicy::default());
 
     let mut table = Table::new(
         "Table 12: multi-tenant serving, FIFO vs reconfiguration-aware",

@@ -180,10 +180,11 @@ fn streamed(design: &Design, cycles: u64) -> (EngineStats, u64) {
     (sim.engine_stats().unwrap().clone(), digest)
 }
 
-/// Netlist-optimizer floors shared by the `chdl_engine` and `chdl_fusion`
-/// benches: the TRT design as [`Design::optimized`] returns it must lower
-/// strictly fewer micro-ops than the design as elaborated, with a
-/// bit-identical digest, and on the deliberately redundant netlist
+/// Netlist-optimizer floors, checked by the `chdl_fusion` bench (the
+/// artifact's only writer): the TRT design as [`Design::optimized`]
+/// returns it must lower strictly fewer micro-ops than the design as
+/// elaborated, with a bit-identical digest, and on the deliberately
+/// redundant netlist
 /// ([`trt_redundant_design`]) the pass pipeline must remove ≥10% of the
 /// nodes. Each stream's post-fusion op count is recorded alongside: CSE
 /// shares structure fusion would otherwise absorb, so the optimized TRT

@@ -10,10 +10,10 @@
 //! 1. **Tenant quota** — the tenant already has its full allowance of
 //!    outstanding (admitted, not yet completed) jobs in the cluster.
 //! 2. **Class shed** — the target shard's queue is filling, and the
-//!    job's class sheds early: `Low` is refused once the queue passes
-//!    `low_watermark`, `Normal` past `normal_watermark`, `High` only
-//!    when the queue is actually full. Under overload the queue's tail
-//!    is reserved for urgent work.
+//!    job's class sheds early: `Low` is refused once the queue is
+//!    [`LOW_WATERMARK`] full, `Normal` at [`NORMAL_WATERMARK`], `High`
+//!    only when the queue is actually full. Under overload the queue's
+//!    tail is reserved for urgent work.
 //! 3. **Queue full** — the hard bound, for `High` jobs too.
 //!
 //! Every refusal carries the queue depth seen and a retry-after hint
@@ -70,31 +70,22 @@ pub struct Overloaded {
     pub retry_after: SimDuration,
 }
 
-/// Admission tunables.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdmissionConfig {
-    /// Maximum outstanding jobs per tenant across the cluster; `0`
-    /// disables quotas.
-    pub tenant_quota: usize,
-    /// Queue-depth fraction past which `Low` jobs shed.
-    pub low_watermark: f64,
-    /// Queue-depth fraction past which `Normal` jobs shed.
-    pub normal_watermark: f64,
-}
+/// Queue-depth fraction at which `Low` jobs shed.
+pub const LOW_WATERMARK: f64 = 0.70;
 
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            tenant_quota: 0,
-            low_watermark: 0.70,
-            normal_watermark: 0.85,
-        }
-    }
+/// Queue-depth fraction at which `Normal` jobs shed.
+pub const NORMAL_WATERMARK: f64 = 0.85;
+
+/// Admission tunables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AdmissionConfig {
+    /// Maximum outstanding jobs per tenant across the cluster; `0` (the
+    /// default) disables quotas.
+    pub tenant_quota: usize,
 }
 
 /// The cluster-wide admission state: the tunables plus per-tenant
-/// outstanding counts. Built with [`new`](Self::new) — no `Default`,
-/// because zeroed watermarks would shed everything.
+/// outstanding counts.
 #[derive(Debug)]
 pub struct AdmissionController {
     cfg: AdmissionConfig,
@@ -135,8 +126,8 @@ impl AdmissionController {
         let fill = depth as f64 / capacity.max(1) as f64;
         let watermark = match priority {
             Priority::High => 1.0,
-            Priority::Normal => self.cfg.normal_watermark,
-            Priority::Low => self.cfg.low_watermark,
+            Priority::Normal => NORMAL_WATERMARK,
+            Priority::Low => LOW_WATERMARK,
         };
         if fill >= watermark {
             return Err(ShedReason::ClassShed);
@@ -200,10 +191,7 @@ mod tests {
 
     #[test]
     fn quota_counts_outstanding_and_releases_on_done() {
-        let mut a = AdmissionController::new(AdmissionConfig {
-            tenant_quota: 2,
-            ..AdmissionConfig::default()
-        });
+        let mut a = AdmissionController::new(AdmissionConfig { tenant_quota: 2 });
         assert_eq!(a.check(7, Priority::Normal, 0, 64), Ok(()));
         a.note_admitted(7);
         a.note_admitted(7);
@@ -224,10 +212,7 @@ mod tests {
 
     #[test]
     fn queue_full_outranks_quota() {
-        let mut a = AdmissionController::new(AdmissionConfig {
-            tenant_quota: 1,
-            ..AdmissionConfig::default()
-        });
+        let mut a = AdmissionController::new(AdmissionConfig { tenant_quota: 1 });
         a.note_admitted(1);
         assert_eq!(
             a.check(1, Priority::High, 64, 64),

@@ -45,7 +45,7 @@ pub use loadgen::{
 };
 pub use router::{RouteKind, Router, RoutingPolicy, ShardView};
 pub use shard::Shard;
-pub use steal::{StealConfig, StealKind, StealPlan, StealStats, StealingPolicy};
+pub use steal::{StealKind, StealPlan, StealStats, StealingPolicy};
 
 use atlantis_apps::jobs::JobKind;
 use atlantis_guard::DegradationConfig;
@@ -408,9 +408,9 @@ impl Cluster {
     /// test and pulls a batch when the backlog is worth more than the
     /// move. No-op under [`StealingPolicy::Off`].
     fn steal_scan(&mut self, now: SimTime) {
-        let StealingPolicy::Enabled(cfg) = self.stealing else {
+        if self.stealing == StealingPolicy::Off {
             return;
-        };
+        }
         self.steal_stats.scans += 1;
         for thief in 0..self.shards.len() {
             if self.shards[thief].engine.queue_depth() != 0
@@ -422,7 +422,7 @@ impl Cluster {
             // total order, so replays pick identical donors.
             let mut donors: Vec<usize> = (0..self.shards.len()).filter(|&d| d != thief).collect();
             donors.sort_by_key(|&d| (usize::MAX - self.shards[d].engine.queue_depth(), d));
-            donors.retain(|&d| self.shards[d].engine.queue_depth() >= cfg.min_backlog);
+            donors.retain(|&d| self.shards[d].engine.queue_depth() >= steal::MIN_BACKLOG);
             // A warm steal anywhere beats a cold steal from the deepest
             // donor: a design already resident on one of the thief's
             // idle boards moves work at transfer cost alone, so scan
@@ -452,9 +452,7 @@ impl Cluster {
                 },
             };
             let depth = self.shards[donor].engine.queue_depth();
-            let max_batch = cfg
-                .max_batch
-                .min(self.shards[thief].engine.queue_capacity());
+            let max_batch = steal::MAX_BATCH.min(self.shards[thief].engine.queue_capacity());
             let (jobs, bytes) = self.shards[donor].engine.queued_backlog(kind, max_batch);
             if jobs == 0 {
                 continue;
@@ -575,7 +573,7 @@ impl Cluster {
         for (i, sh) in self.shards.iter().enumerate() {
             let _ = write!(s, "|shard{}:{:?}", i, sh.engine.stats());
         }
-        if let StealingPolicy::Enabled(_) = self.stealing {
+        if self.stealing == StealingPolicy::Enabled {
             let _ = write!(s, "|steals:{:?}", self.steal_stats);
         }
         s
@@ -652,10 +650,7 @@ mod tests {
     fn offers_complete_and_release_quota() {
         let mut c = Cluster::new(ClusterConfig {
             shards: 2,
-            admission: AdmissionConfig {
-                tenant_quota: 4,
-                ..AdmissionConfig::default()
-            },
+            admission: AdmissionConfig { tenant_quota: 4 },
             ..ClusterConfig::default()
         })
         .unwrap();

@@ -24,50 +24,42 @@
 //!
 //! A steal commits only when the donor's backlog, priced at its
 //! calibrated service EWMA (queue depth × mean service time), exceeds
-//! that cost. A thief that commits a cold steal then sits out further
-//! cold steals for an amortization window of several cost-multiples —
-//! without it, marginal backlogs make an idle shard thrash between
-//! designs, burning its capacity on reconfigurations (warm steals are
-//! exempt: they never touch the fabric). Everything runs on
-//! the deterministic virtual clock inside
+//! that cost. Donors are shards at least [`MIN_BACKLOG`] deep — a
+//! shallower queue drains faster locally than any transfer completes —
+//! and one steal moves at most [`MAX_BATCH`] jobs, enough to amortize a
+//! cold switch without stripping the donor bare; both are constants,
+//! since no caller ever varied them. A thief that commits a cold steal
+//! then sits out further cold steals for an amortization window of
+//! several cost-multiples — without it, marginal backlogs make an idle
+//! shard thrash between designs, burning its capacity on
+//! reconfigurations (warm steals are exempt: they never touch the
+//! fabric). Everything runs on the deterministic virtual clock inside
 //! [`Cluster::advance`](crate::Cluster::advance), so campaigns with
-//! stealing enabled
-//! fingerprint byte-identically across replays, and
+//! stealing enabled fingerprint byte-identically across replays, and
 //! [`StealingPolicy::Off`] leaves the non-stealing path untouched
 //! byte-for-byte.
 
 use atlantis_apps::jobs::JobKind;
 use atlantis_simcore::{SimDuration, SimTime};
 
-/// Whether and how the cluster steals across shards.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Donor queues shallower than this are never stolen from — small
+/// backlogs drain faster locally than any transfer completes.
+pub const MIN_BACKLOG: usize = 4;
+
+/// Most jobs moved per committed steal. Batching amortizes a cold
+/// steal's reconfiguration over several jobs without letting one steal
+/// strip a donor bare.
+pub const MAX_BATCH: usize = 8;
+
+/// Whether the cluster steals across shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StealingPolicy {
     /// No stealing: the pre-stealing serving path, byte-for-byte.
     #[default]
     Off,
-    /// Steal under the given tunables.
-    Enabled(StealConfig),
-}
-
-/// Tunables of the steal scan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StealConfig {
-    /// Donor queues shallower than this are never stolen from — small
-    /// backlogs drain faster locally than any transfer completes.
-    pub min_backlog: usize,
-    /// Most jobs moved per committed steal. Batching amortizes a cold
-    /// steal's reconfiguration over several jobs without letting one
-    /// steal strip a donor bare.
-    pub max_batch: usize,
-}
-
-impl Default for StealConfig {
-    fn default() -> Self {
-        StealConfig {
-            min_backlog: 4,
-            max_batch: 8,
-        }
-    }
+    /// Steal from donors at least [`MIN_BACKLOG`] deep, at most
+    /// [`MAX_BATCH`] jobs per committed steal.
+    Enabled,
 }
 
 /// Whether a steal rode a resident bitstream or paid for a switch.

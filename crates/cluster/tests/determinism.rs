@@ -23,10 +23,7 @@ fn campaign_config(seed: u64) -> (ClusterConfig, LoadGenConfig) {
             routing: RoutingPolicy::Affinity {
                 spill_threshold: 4.0,
             },
-            admission: AdmissionConfig {
-                tenant_quota: 24,
-                ..AdmissionConfig::default()
-            },
+            admission: AdmissionConfig { tenant_quota: 24 },
             // Active degradation, hot enough that boards quarantine
             // inside the campaign's few tens of virtual milliseconds —
             // quarantines must interleave with serving.

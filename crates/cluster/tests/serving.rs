@@ -17,7 +17,6 @@ fn cluster(shards: usize, quota: usize) -> Cluster {
         },
         admission: AdmissionConfig {
             tenant_quota: quota,
-            ..AdmissionConfig::default()
         },
         ..ClusterConfig::default()
     })

@@ -5,7 +5,7 @@ use atlantis_apps::jobs::JobKind;
 use atlantis_cluster::{
     router::{rendezvous_weight, RoutingPolicy, ShardView},
     run_closed_loop, AdmissionConfig, ClosedLoopConfig, Cluster, ClusterConfig, LoadGen,
-    LoadGenConfig, Router, StealConfig, StealKind, StealingPolicy,
+    LoadGenConfig, Router, StealKind, StealingPolicy,
 };
 use atlantis_guard::DegradationConfig;
 use atlantis_runtime::{FabricKind, Priority, ShardConfig};
@@ -31,10 +31,7 @@ fn campaign_config(seed: u64) -> (ClusterConfig, LoadGenConfig) {
             routing: RoutingPolicy::Affinity {
                 spill_threshold: 4.0,
             },
-            admission: AdmissionConfig {
-                tenant_quota: 24,
-                ..AdmissionConfig::default()
-            },
+            admission: AdmissionConfig { tenant_quota: 24 },
             degradation: DegradationConfig {
                 upset_rate: 120.0,
                 quarantine_after: 3,
@@ -86,8 +83,8 @@ fn off_preserves_pre_stealing_fingerprints() {
 /// runs on the virtual clock, so the ledger is part of the contract.
 #[test]
 fn stealing_campaign_fingerprints_identically() {
-    let (fa, sa) = run_campaign(StealingPolicy::Enabled(StealConfig::default()));
-    let (fb, sb) = run_campaign(StealingPolicy::Enabled(StealConfig::default()));
+    let (fa, sa) = run_campaign(StealingPolicy::Enabled);
+    let (fb, sb) = run_campaign(StealingPolicy::Enabled);
     assert_eq!(fa, fb, "stealing fingerprints replay byte-identically");
     assert_eq!(sa, sb);
     assert!(
@@ -98,17 +95,14 @@ fn stealing_campaign_fingerprints_identically() {
     assert_ne!(fa, foff, "the overload campaign actually steals");
 }
 
-/// The breakeven discipline: a backlog shallower than `min_backlog`
+/// The breakeven discipline: a backlog shallower than `MIN_BACKLOG`
 /// is never stolen, and every committed plan's benefit exceeded its
 /// cost — including the reconfiguration estimate on cold steals.
 #[test]
 fn never_steals_below_breakeven() {
     let mut c = Cluster::new(ClusterConfig {
         shards: 2,
-        stealing: StealingPolicy::Enabled(StealConfig {
-            min_backlog: 4,
-            max_batch: 8,
-        }),
+        stealing: StealingPolicy::Enabled,
         ..ClusterConfig::default()
     })
     .unwrap();
@@ -134,7 +128,7 @@ fn never_steals_below_breakeven() {
     // passed the breakeven test it logged.
     let (cc, lc) = campaign_config(1234);
     let mut c = Cluster::new(ClusterConfig {
-        stealing: StealingPolicy::Enabled(StealConfig::default()),
+        stealing: StealingPolicy::Enabled,
         ..cc
     })
     .unwrap();
@@ -267,7 +261,7 @@ fn stealing_improves_overload_goodput() {
         (c.stats().clone(), c.steal_stats().clone())
     };
     let (soff, _) = run(StealingPolicy::Off);
-    let (son, steals) = run(StealingPolicy::Enabled(StealConfig::default()));
+    let (son, steals) = run(StealingPolicy::Enabled);
     assert!(soff.shed > 0, "the control arm must be overloaded");
     assert!(
         steals.cold_steals > 0 && steals.warm_steals > 0,

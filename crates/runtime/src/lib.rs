@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bufpool;
 mod cache;
 mod error;
 mod guard;
@@ -53,7 +52,6 @@ mod shard;
 mod stats;
 mod worker;
 
-pub use bufpool::{BufferPool, PoolBuf, PAGE_BYTES};
 pub use cache::BitstreamCache;
 pub use error::RuntimeError;
 pub use guard::GuardConfig;
@@ -71,13 +69,12 @@ use atlantis_fabric::Device;
 use atlantis_pci::OverlapConfig;
 use atlantis_simcore::SimDuration;
 use job::QueuedJob;
-use policy::PickConfig;
 use queue::JobQueue;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use worker::{SharedStats, Worker};
+use worker::{Shared, Worker};
 
 /// Tunables for [`Runtime::serve`].
 #[derive(Debug, Clone, Copy)]
@@ -85,14 +82,8 @@ pub struct RuntimeConfig {
     /// Hard bound on queued (not yet running) jobs; submissions beyond
     /// it are rejected with [`RuntimeError::Overloaded`].
     pub queue_capacity: usize,
-    /// The scheduling policy.
+    /// The scheduling policy: how a worker picks its next job.
     pub policy: SchedPolicy,
-    /// How far into a priority class a reconfiguration-aware worker may
-    /// look for a job matching its loaded design.
-    pub scan_depth: usize,
-    /// A queued job skipped this many times is served next regardless
-    /// of the loaded design (starvation bound).
-    pub aging_limit: u32,
     /// Timing model for the pipeline's overlapped phases (prefetch /
     /// execute / writeback on the PLX9080's two DMA channels) — how much
     /// of the non-dominant phases' time local-bus contention serialises.
@@ -120,9 +111,7 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             queue_capacity: 256,
-            policy: SchedPolicy::ReconfigAware { batch_window: 32 },
-            scan_depth: 64,
-            aging_limit: 8,
+            policy: SchedPolicy::default(),
             overlap: OverlapConfig::default(),
             lanes: 8,
             guard: GuardConfig::disabled(),
@@ -158,8 +147,7 @@ impl RuntimeConfig {
 pub struct Runtime {
     queue: Arc<JobQueue>,
     cache: Arc<BitstreamCache>,
-    pool: Arc<BufferPool>,
-    shared: Arc<Mutex<SharedStats>>,
+    shared: Arc<Mutex<Shared>>,
     workers: Vec<JoinHandle<()>>,
     next_id: AtomicU64,
     submitted: AtomicU64,
@@ -188,11 +176,8 @@ impl Runtime {
         let cache = Arc::new(BitstreamCache::new(Device::orca_3t125()));
         cache.prefit_all().map_err(TaskError::Fit)?;
 
-        let pick = PickConfig::new(config.policy, config.scan_depth, config.aging_limit);
-        let queue = Arc::new(JobQueue::new(config.queue_capacity, pick));
-        queue.set_workers(devices);
-        let pool = BufferPool::new();
-        let shared = Arc::new(Mutex::new(SharedStats::new(devices)));
+        let queue = Arc::new(JobQueue::new(config.queue_capacity, config.policy, devices));
+        let shared = Arc::new(Mutex::new(Shared::new(devices)));
 
         let mut workers = Vec::with_capacity(devices);
         for (i, mut driver) in acbs.into_iter().enumerate() {
@@ -203,7 +188,6 @@ impl Runtime {
                 Arc::clone(&queue),
                 Arc::clone(&cache),
                 Arc::clone(&shared),
-                Arc::clone(&pool),
                 config.lanes,
                 config.guard,
             );
@@ -217,7 +201,6 @@ impl Runtime {
         Ok(Runtime {
             queue,
             cache,
-            pool,
             shared,
             workers,
             next_id: AtomicU64::new(0),
@@ -279,62 +262,24 @@ impl Runtime {
     pub fn stats(&self) -> RuntimeStats {
         let s = self.shared.lock().unwrap();
         let (cache_hits, cache_misses) = self.cache.counters();
-        let (pool_hits, pool_misses) = self.pool.counters();
         RuntimeStats {
             submitted: self.submitted.load(Ordering::Relaxed),
-            completed: s.completed,
             rejected: self.rejected.load(Ordering::Relaxed),
-            rejected_by_class: [
-                self.rejected_by_class[0].load(Ordering::Relaxed),
-                self.rejected_by_class[1].load(Ordering::Relaxed),
-                self.rejected_by_class[2].load(Ordering::Relaxed),
-            ],
-            failed: s.failed,
-            per_kind: s.per_kind,
-            full_loads: s.full_loads,
-            partial_switches: s.partial_switches,
-            frames_written: s.frames_written,
-            reconfig_time: s.reconfig_time,
-            dma_time: s.dma_time,
-            execute_time: s.execute_time,
+            rejected_by_class: self
+                .rejected_by_class
+                .each_ref()
+                .map(|n| n.load(Ordering::Relaxed)),
+            cache_hits,
+            cache_misses,
             virtual_makespan: s
                 .device_busy
                 .iter()
                 .copied()
                 .max()
                 .unwrap_or(SimDuration::ZERO),
-            pipeline_beats: s.pipeline_beats,
-            pipeline_drains: s.pipeline_drains,
-            stage_time: s.stage_time,
-            window_time: s.window_time,
-            overlap_saved: s.overlap_saved,
-            laned_passes: s.laned_passes,
-            scalar_passes: s.scalar_passes,
-            laned_jobs: s.laned_jobs,
-            upsets_injected: s.upsets_injected,
-            upsets_stealthy: s.upsets_stealthy,
-            corrupt_executes: s.corrupt_executes,
-            detected_corruptions: s.detected_corruptions,
-            silent_corruptions: s.silent_corruptions,
-            guard_scrubs: s.guard_scrubs,
-            guard_repairs: s.guard_repairs,
-            scrub_time: s.scrub_time,
-            check_time: s.check_time,
-            wasted_time: s.wasted_time,
-            retries: s.retries,
-            faulted: s.faulted,
-            quarantined_devices: s.quarantined_devices,
-            detection_latency: s.detection_latency,
-            detected_upsets: s.detected_upsets,
-            device_scrub_frames: s.device_scrub_frames.clone(),
             busy_total: s.device_busy.iter().copied().sum(),
-            pool_hits,
-            pool_misses,
-            cache_hits,
-            cache_misses,
-            latency: s.latency.clone(),
-            virt_latency: s.virt_latency.clone(),
             wall_elapsed: self.started.elapsed(),
+            ..s.stats.clone()
         }
     }
 

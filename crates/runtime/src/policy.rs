@@ -23,48 +23,39 @@ use atlantis_core::Coprocessor;
 use atlantis_simcore::SimDuration;
 use std::collections::VecDeque;
 
-/// The scheduling policy workers follow.
+/// The scheduling policy workers follow — how a board picks its next
+/// job from the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedPolicy {
     /// Strict arrival order within each priority class. Every change of
     /// workload kind pays a reconfiguration.
     Fifo,
     /// Prefer jobs for the design already loaded on the device, looking
-    /// a bounded distance into the queue, for at most `batch_window`
-    /// consecutive jobs (and never past a job that has already been
-    /// skipped `aging_limit` times). Amortises configuration cost across
-    /// batches — the paper's hardware-task-switch economics.
+    /// at most `scan_depth` entries into the queue, for at most
+    /// `batch_window` consecutive jobs (and never past a job that has
+    /// already been skipped `aging_limit` times). Amortises configuration
+    /// cost across batches — the paper's hardware-task-switch economics.
     ReconfigAware {
         /// Max consecutive same-design jobs before the device must take
         /// the queue head regardless of design.
         batch_window: usize,
+        /// Prefer a job for the loaded design within this many entries
+        /// of the head of the urgent-most non-empty class.
+        scan_depth: usize,
+        /// A job skipped this many times must be taken next regardless
+        /// of the loaded design (starvation bound).
+        aging_limit: u32,
     },
 }
 
-/// How a board picks its next job from the queue.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PickConfig {
-    /// Prefer a job for the already-loaded design within this many
-    /// entries of the head of the urgent-most non-empty class.
-    pub scan_depth: usize,
-    /// Stop preferring the loaded design after this many consecutive
-    /// same-design jobs (forces eventual rotation). FIFO is a window of 0.
-    pub batch_window: usize,
-    /// A job skipped this many times must be taken next regardless of
-    /// the loaded design (starvation bound).
-    pub aging_limit: u32,
-}
-
-impl PickConfig {
-    /// The pick `policy` implies, with the given look-ahead and aging bound.
-    pub fn new(policy: SchedPolicy, scan_depth: usize, aging_limit: u32) -> Self {
-        PickConfig {
-            scan_depth,
-            batch_window: match policy {
-                SchedPolicy::Fifo => 0,
-                SchedPolicy::ReconfigAware { batch_window } => batch_window,
-            },
-            aging_limit,
+impl Default for SchedPolicy {
+    /// The shipped pick of both engines: a batch window of 32, a scan
+    /// depth of 64 and an aging limit of 8.
+    fn default() -> Self {
+        SchedPolicy::ReconfigAware {
+            batch_window: 32,
+            scan_depth: 64,
+            aging_limit: 8,
         }
     }
 }
@@ -82,20 +73,23 @@ pub(crate) trait Queued {
 /// when every class is empty.
 pub(crate) fn pick<E: Queued>(
     classes: &mut [VecDeque<E>; Priority::CLASSES],
-    cfg: PickConfig,
+    policy: SchedPolicy,
     loaded: Option<JobKind>,
     batch_len: usize,
 ) -> Option<E> {
     let class = classes.iter_mut().find(|c| !c.is_empty())?;
-    if let Some(kind) = loaded.filter(|_| batch_len < cfg.batch_window) {
-        let head_aged = class
-            .front_mut()
-            .is_some_and(|e| *e.skips() >= cfg.aging_limit);
-        if !head_aged {
-            let j = class
-                .iter()
-                .take(cfg.scan_depth)
-                .position(|e| e.kind() == kind);
+    if let (
+        SchedPolicy::ReconfigAware {
+            batch_window,
+            scan_depth,
+            aging_limit,
+        },
+        Some(kind),
+    ) = (policy, loaded)
+    {
+        let head_aged = class.front_mut().is_some_and(|e| *e.skips() >= aging_limit);
+        if batch_len < batch_window && !head_aged {
+            let j = class.iter().take(scan_depth).position(|e| e.kind() == kind);
             if let Some(j) = j {
                 for e in class.iter_mut().take(j) {
                     *e.skips() += 1;
@@ -203,16 +197,16 @@ mod tests {
     /// `(id, kind, skips)` entries per class, most urgent first.
     type Queue = [&'static [(u32, JobKind, u32)]; Priority::CLASSES];
 
-    const AWARE: PickConfig = PickConfig {
-        scan_depth: 4,
+    const AWARE: SchedPolicy = SchedPolicy::ReconfigAware {
         batch_window: 2,
+        scan_depth: 4,
         aging_limit: 3,
     };
 
     struct Case {
         name: &'static str,
         queue: Queue,
-        cfg: PickConfig,
+        policy: SchedPolicy,
         loaded: Option<JobKind>,
         batch_len: usize,
         /// The id the pick must return.
@@ -223,13 +217,11 @@ mod tests {
 
     #[test]
     fn pick_table() {
-        let fifo = PickConfig::new(SchedPolicy::Fifo, 4, 3);
-        assert_eq!(fifo.batch_window, 0, "FIFO is a batch window of 0");
         let cases = [
             Case {
                 name: "urgent-most class wins over a loaded-design match",
                 queue: [&[(1, T, 0)], &[(2, V, 0)], &[]],
-                cfg: AWARE,
+                policy: AWARE,
                 loaded: Some(V),
                 batch_len: 0,
                 want: Some(1),
@@ -242,7 +234,7 @@ mod tests {
                     &[(1, T, 0), (2, I, 1), (3, V, 0), (4, V, 0)],
                     &[(5, V, 0)],
                 ],
-                cfg: AWARE,
+                policy: AWARE,
                 loaded: Some(V),
                 batch_len: 1,
                 want: Some(3),
@@ -255,7 +247,7 @@ mod tests {
                     &[(1, T, 0), (2, T, 0), (3, T, 0), (4, T, 0), (5, V, 0)],
                     &[],
                 ],
-                cfg: AWARE,
+                policy: AWARE,
                 loaded: Some(V),
                 batch_len: 0,
                 want: Some(1),
@@ -264,16 +256,16 @@ mod tests {
             Case {
                 name: "batch window closed: the head, nothing ages",
                 queue: [&[], &[(1, T, 0), (2, V, 0)], &[]],
-                cfg: AWARE,
+                policy: AWARE,
                 loaded: Some(V),
                 batch_len: 2,
                 want: Some(1),
                 left: &[(2, 0)],
             },
             Case {
-                name: "FIFO's window of 0 never prefers",
+                name: "FIFO never prefers",
                 queue: [&[], &[(1, T, 0), (2, V, 0)], &[]],
-                cfg: fifo,
+                policy: SchedPolicy::Fifo,
                 loaded: Some(V),
                 batch_len: 0,
                 want: Some(1),
@@ -282,7 +274,7 @@ mod tests {
             Case {
                 name: "an aged head is taken",
                 queue: [&[], &[(1, T, 3), (2, V, 0)], &[]],
-                cfg: AWARE,
+                policy: AWARE,
                 loaded: Some(V),
                 batch_len: 0,
                 want: Some(1),
@@ -291,7 +283,7 @@ mod tests {
             Case {
                 name: "an unconfigured board takes the head",
                 queue: [&[], &[(1, T, 0), (2, V, 0)], &[]],
-                cfg: AWARE,
+                policy: AWARE,
                 loaded: None,
                 batch_len: 0,
                 want: Some(1),
@@ -300,7 +292,7 @@ mod tests {
             Case {
                 name: "empty classes return None",
                 queue: [&[], &[], &[]],
-                cfg: AWARE,
+                policy: AWARE,
                 loaded: Some(V),
                 batch_len: 0,
                 want: None,
@@ -316,7 +308,7 @@ mod tests {
                         .map(|&(id, kind, skips)| Entry { id, kind, skips }),
                 );
             }
-            let got = pick(&mut classes, case.cfg, case.loaded, case.batch_len);
+            let got = pick(&mut classes, case.policy, case.loaded, case.batch_len);
             assert_eq!(got.map(|e| e.id), case.want, "{}", case.name);
             let left: Vec<(u32, u32)> = classes.iter().flatten().map(|e| (e.id, e.skips)).collect();
             assert_eq!(left, case.left, "{}", case.name);

@@ -9,10 +9,10 @@
 
 use crate::error::RuntimeError;
 use crate::job::{Priority, QueuedJob};
-use crate::policy::{self, PickConfig, Queued};
+use crate::policy::{self, Queued, SchedPolicy};
 use atlantis_apps::jobs::JobKind;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -53,32 +53,27 @@ pub(crate) struct JobQueue {
     inner: Mutex<Inner>,
     not_empty: Condvar,
     capacity: usize,
-    /// The reconfiguration-aware pick every pop applies.
-    pick: PickConfig,
+    /// The pick every pop applies.
+    policy: SchedPolicy,
     /// EWMA of per-job wall service time in nanoseconds, updated by
     /// workers on every completion; zero until the first completion.
     /// Feeds the `retry_after` hint in `Overloaded` rejections.
     service_ewma_ns: AtomicU64,
-    /// Worker threads draining the queue (set once at serve time).
-    workers: AtomicUsize,
+    /// Worker threads draining the queue — the divisor of the
+    /// retry-after estimate.
+    workers: usize,
 }
 
 impl JobQueue {
-    pub fn new(capacity: usize, pick: PickConfig) -> Self {
+    pub fn new(capacity: usize, policy: SchedPolicy, workers: usize) -> Self {
         JobQueue {
             inner: Mutex::new(Inner::default()),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
-            pick,
+            policy,
             service_ewma_ns: AtomicU64::new(0),
-            workers: AtomicUsize::new(1),
+            workers: workers.max(1),
         }
-    }
-
-    /// Record how many workers drain the queue — the divisor of the
-    /// retry-after estimate.
-    pub fn set_workers(&self, workers: usize) {
-        self.workers.store(workers.max(1), Ordering::Relaxed);
     }
 
     /// Fold one completed job's wall service time into the EWMA that
@@ -98,8 +93,7 @@ impl JobQueue {
     /// Estimated wall time until `depth` queued jobs drain one slot.
     fn retry_after(&self, depth: usize) -> Duration {
         let ewma = self.service_ewma_ns.load(Ordering::Relaxed);
-        let workers = self.workers.load(Ordering::Relaxed) as u64;
-        Duration::from_nanos(ewma.saturating_mul(depth as u64) / workers.max(1))
+        Duration::from_nanos(ewma.saturating_mul(depth as u64) / self.workers as u64)
     }
 
     pub fn capacity(&self) -> usize {
@@ -159,8 +153,8 @@ impl JobQueue {
 
     /// Block until a job is available (or the queue is closed *and*
     /// empty), picked for a worker holding `loaded` that has served
-    /// `batch_len` consecutive jobs of it — the reconfiguration-aware
-    /// policy ([`policy::pick`]).
+    /// `batch_len` consecutive jobs of it under the queue's
+    /// [`SchedPolicy`] ([`policy::pick`]).
     pub fn pop(&self, loaded: Option<JobKind>, batch_len: usize) -> Pop {
         let mut inner = self.inner.lock().unwrap();
         loop {
@@ -190,7 +184,7 @@ impl JobQueue {
         loaded: Option<JobKind>,
         batch_len: usize,
     ) -> Option<QueuedJob> {
-        let entry = policy::pick(&mut inner.classes, self.pick, loaded, batch_len)?;
+        let entry = policy::pick(&mut inner.classes, self.policy, loaded, batch_len)?;
         inner.len -= 1;
         Some(entry.job)
     }

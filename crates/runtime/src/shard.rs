@@ -29,7 +29,7 @@
 use crate::cache::BitstreamCache;
 use crate::error::RuntimeError;
 use crate::job::Priority;
-use crate::policy::{self, Fabric, PickConfig, Queued, SchedPolicy};
+use crate::policy::{self, Fabric, Queued, SchedPolicy};
 use crate::stats::LogHistogram;
 use atlantis_apps::jobs::{JobKind, JobSpec, WorkloadContext};
 use atlantis_backplane::{Aab, BackplaneKind, ConnectionId};
@@ -95,10 +95,6 @@ pub struct ShardConfig {
     pub queue_capacity: usize,
     /// The scheduling policy (same semantics as the threaded runtime).
     pub policy: SchedPolicy,
-    /// Look-ahead distance of the reconfiguration-aware pick.
-    pub scan_depth: usize,
-    /// Starvation bound: a job skipped this many times is served next.
-    pub aging_limit: u32,
 }
 
 impl Default for ShardConfig {
@@ -107,9 +103,7 @@ impl Default for ShardConfig {
             boards: 2,
             fabric: FabricKind::Orca,
             queue_capacity: 64,
-            policy: SchedPolicy::ReconfigAware { batch_window: 32 },
-            scan_depth: 64,
-            aging_limit: 8,
+            policy: SchedPolicy::default(),
         }
     }
 }
@@ -698,10 +692,8 @@ impl ShardScheduler {
     /// boards, prefer one whose fabric already holds the head job's
     /// design (so two designs resident on two boards serve side by
     /// side instead of ping-ponging); otherwise lowest index. Jobs are
-    /// then chosen by the shared reconfiguration-aware pick
-    /// ([`policy::pick`]).
+    /// then chosen by the pick both engines share ([`policy::pick`]).
     fn schedule(&mut self, t: SimTime) {
-        let pick = PickConfig::new(self.cfg.policy, self.cfg.scan_depth, self.cfg.aging_limit);
         loop {
             let idle = |b: &Board| !b.quarantined && b.in_flight.is_none() && b.free_at <= t;
             let Some(first) = self.boards.iter().position(idle) else {
@@ -717,9 +709,12 @@ impl ShardScheduler {
                 .position(|b| idle(b) && b.fabric.loaded == Some(head_kind))
                 .unwrap_or(first);
             let fabric = &self.boards[bi].fabric;
-            let Some(entry) =
-                policy::pick(&mut self.classes, pick, fabric.loaded, fabric.batch_len)
-            else {
+            let Some(entry) = policy::pick(
+                &mut self.classes,
+                self.cfg.policy,
+                fabric.loaded,
+                fabric.batch_len,
+            ) else {
                 break;
             };
             self.queued -= 1;
@@ -943,7 +938,7 @@ mod tests {
             s.stats().clone()
         };
         let fifo = run(SchedPolicy::Fifo);
-        let aware = run(SchedPolicy::ReconfigAware { batch_window: 32 });
+        let aware = run(SchedPolicy::default());
         assert!(
             aware.full_loads + aware.partial_switches < fifo.full_loads + fifo.partial_switches,
             "affinity pick must reduce switches: {} vs {}",

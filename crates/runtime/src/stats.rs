@@ -164,7 +164,7 @@ impl LatencyHistogram {
 }
 
 /// A point-in-time snapshot of the whole runtime.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RuntimeStats {
     /// Jobs accepted into the queue.
     pub submitted: u64,
@@ -222,10 +222,12 @@ pub struct RuntimeStats {
     pub scalar_passes: u64,
     /// Jobs retired through laned passes.
     pub laned_jobs: u64,
-    /// DMA staging-buffer checkouts served by recycling a pooled buffer.
+    /// DMA transfers (payloads in and results out) staged in a worker's
+    /// reusable host buffer without growing it.
     pub pool_hits: u64,
-    /// DMA staging-buffer checkouts that had to allocate. Flat at steady
-    /// state — the zero-copy invariant.
+    /// DMA transfers that had to grow their worker's staging buffer (an
+    /// allocation). Flat once each worker has staged its largest
+    /// transfer — the zero-copy invariant.
     pub pool_misses: u64,
     /// Bitstream-cache hits.
     pub cache_hits: u64,

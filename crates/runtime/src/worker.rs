@@ -22,20 +22,23 @@
 //! when the next admitted job needs a different design the worker
 //! drains in-flight work first (it must execute under the old design),
 //! then switches. Reconfiguration-aware batching makes such drains
-//! rare. Payload and result staging buffers come from a shared
-//! [`BufferPool`], so steady-state serving performs no per-job heap
-//! allocation and the driver streams directly in and out of the pooled
-//! buffers. Every stage's virtual cost is attributed to the job, so the
-//! serving layer stays observable per job and per device.
+//! rare. Each worker stages every payload and result in one reusable
+//! host buffer: the writeback's transfer ends before the prefetch's
+//! begins, so one buffer per board is all the traffic ever needs, and
+//! once it has grown to the largest transfer the worker serves, it
+//! allocates no more. The driver streams directly in and out of it.
+//! Workers write their counters straight into the shared
+//! [`RuntimeStats`] that `Runtime::stats` snapshots. Every stage's
+//! virtual cost is attributed to the job, so the serving layer stays
+//! observable per job and per device.
 
-use crate::bufpool::BufferPool;
 use crate::cache::BitstreamCache;
 use crate::error::RuntimeError;
 use crate::guard::{GuardConfig, GuardState};
 use crate::job::{JobResult, JobTimings, QueuedJob};
 use crate::policy::Fabric;
 use crate::queue::{JobQueue, Pop};
-use crate::stats::{LatencyHistogram, LogHistogram};
+use crate::stats::RuntimeStats;
 use atlantis_apps::jobs::{JobKind, JobOutcome, JobSpec, WorkloadContext};
 use atlantis_board::{Acb, SlotHalf};
 use atlantis_core::Coprocessor;
@@ -45,64 +48,31 @@ use atlantis_simcore::SimDuration;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Aggregated counters all workers write and `Runtime::stats` reads.
-#[derive(Debug, Default)]
-pub(crate) struct SharedStats {
-    pub completed: u64,
-    pub failed: u64,
-    pub per_kind: [u64; 4],
-    pub full_loads: u64,
-    pub partial_switches: u64,
-    pub frames_written: u64,
-    pub reconfig_time: SimDuration,
-    pub dma_time: SimDuration,
-    pub execute_time: SimDuration,
+/// What all workers write and `Runtime::stats` reads: the serving
+/// counters themselves, plus the per-device busy clocks and the
+/// quarantine headcount, which no counter reports directly.
+#[derive(Debug)]
+pub(crate) struct Shared {
+    /// Every counter the workers own, under its reported name. The
+    /// runtime fills in the rest (submissions, rejections, cache
+    /// counters, makespan, busy total, wall time) when it snapshots.
+    pub stats: RuntimeStats,
+    /// Per-device virtual busy time; the snapshot's makespan is the
+    /// maximum, its `busy_total` the sum.
     pub device_busy: Vec<SimDuration>,
-    pub latency: LatencyHistogram,
-    /// Per-job virtual service time in integer picoseconds — the
-    /// deterministic twin of `latency`.
-    pub virt_latency: LogHistogram,
-    pub pipeline_beats: u64,
-    pub pipeline_drains: u64,
-    /// `[prefetch DMA-in, execute, writeback DMA-out]`.
-    pub stage_time: [SimDuration; 3],
-    pub window_time: SimDuration,
-    pub overlap_saved: SimDuration,
-    /// Execute passes that retired ≥ 2 gathered same-design jobs.
-    pub laned_passes: u64,
-    /// Execute passes that retired a single job.
-    pub scalar_passes: u64,
-    /// Jobs retired through laned passes.
-    pub laned_jobs: u64,
     /// Workers still serving (quarantine decrements; never below 1).
     pub active_workers: usize,
-    pub upsets_injected: u64,
-    pub upsets_stealthy: u64,
-    pub corrupt_executes: u64,
-    pub detected_corruptions: u64,
-    pub silent_corruptions: u64,
-    pub guard_scrubs: u64,
-    pub guard_repairs: u64,
-    pub scrub_time: SimDuration,
-    pub check_time: SimDuration,
-    pub wasted_time: SimDuration,
-    pub retries: u64,
-    pub faulted: u64,
-    pub quarantined_devices: u64,
-    pub detection_latency: SimDuration,
-    pub detected_upsets: u64,
-    /// Per-device accumulation of `ScrubReport` frame totals.
-    pub device_scrub_frames: Vec<u64>,
 }
 
-impl SharedStats {
+impl Shared {
     pub fn new(devices: usize) -> Self {
-        SharedStats {
+        Shared {
+            stats: RuntimeStats {
+                device_scrub_frames: vec![0; devices],
+                ..RuntimeStats::default()
+            },
             device_busy: vec![SimDuration::ZERO; devices],
-            device_scrub_frames: vec![0; devices],
-            latency: LatencyHistogram::new(),
             active_workers: devices,
-            ..Default::default()
         }
     }
 }
@@ -142,8 +112,10 @@ pub(crate) struct Worker {
     pub ctx: WorkloadContext,
     pub queue: Arc<JobQueue>,
     pub cache: Arc<BitstreamCache>,
-    pub shared: Arc<Mutex<SharedStats>>,
-    pool: Arc<BufferPool>,
+    pub shared: Arc<Mutex<Shared>>,
+    /// Host-side DMA staging buffer for every payload and result this
+    /// worker moves, resized per transfer (see [`Worker::stage`]).
+    staging: Vec<u8>,
     /// Max same-design jobs one execute pass gathers (1 = no gathering).
     lanes: usize,
     /// Next slot *half* in the ping/pong rotation.
@@ -169,8 +141,7 @@ impl Worker {
         driver: Driver<Acb>,
         queue: Arc<JobQueue>,
         cache: Arc<BitstreamCache>,
-        shared: Arc<Mutex<SharedStats>>,
-        pool: Arc<BufferPool>,
+        shared: Arc<Mutex<Shared>>,
         lanes: usize,
         guard: GuardConfig,
     ) -> Self {
@@ -182,7 +153,7 @@ impl Worker {
             queue,
             cache,
             shared,
-            pool,
+            staging: Vec::new(),
             lanes: lanes.max(1),
             seq: 0,
             staged: None,
@@ -253,10 +224,10 @@ impl Worker {
         {
             let mut s = self.shared.lock().unwrap();
             if batch.len() > 1 {
-                s.laned_passes += 1;
-                s.laned_jobs += batch.len() as u64;
+                s.stats.laned_passes += 1;
+                s.stats.laned_jobs += batch.len() as u64;
             } else {
-                s.scalar_passes += 1;
+                s.stats.scalar_passes += 1;
             }
         }
         for (job, outcome) in batch.into_iter().zip(outcomes) {
@@ -315,7 +286,7 @@ impl Worker {
         let (reconfig, switched) = match self.switch_design(spec.kind) {
             Ok(r) => r,
             Err(e) => {
-                self.shared.lock().unwrap().failed += 1;
+                self.shared.lock().unwrap().stats.failed += 1;
                 let _ = job.reply.send(Err(e));
                 return;
             }
@@ -343,17 +314,19 @@ impl Worker {
         let mut t_exec = SimDuration::ZERO;
         let mut t_out = SimDuration::ZERO;
 
-        // Writeback stage (DMA channel 1). The readback bytes are
-        // discarded after landing in the pooled buffer: the checksum is
-        // computed by the deterministic execution model, and the buffer
-        // returns to the pool when it drops.
+        // Transfers staged this beat, and how many had to grow the buffer.
+        let (mut transfers, mut grew) = (0u64, 0u64);
+
+        // Writeback stage (DMA channel 1). The readback overwrites every
+        // staged byte and is then discarded: the checksum is computed by
+        // the deterministic execution model.
         let finishing = self.executed.take();
         if let Some(ex) = finishing.as_ref() {
-            let len = ex.job.request.spec.result_bytes() as usize;
-            let mut out = self.pool.checkout(len);
+            transfers += 1;
+            grew += u64::from(self.stage(ex.job.request.spec.result_bytes() as usize, 0));
             t_out = self
                 .driver
-                .dma_read_into_on(DmaChannel::Ch1, ex.addr, &mut out);
+                .dma_read_into_on(DmaChannel::Ch1, ex.addr, &mut self.staging);
         }
 
         // Execute stage. The outcome was precomputed by the (possibly
@@ -376,11 +349,11 @@ impl Worker {
         if let Some(ad) = new {
             let spec = ad.job.request.spec;
             let addr = self.next_half_addr();
-            let mut payload = self.pool.checkout(spec.payload_bytes() as usize);
-            payload.fill((spec.seed as u8) ^ 0x5A);
+            transfers += 1;
+            grew += u64::from(self.stage(spec.payload_bytes() as usize, (spec.seed as u8) ^ 0x5A));
             t_in = self
                 .driver
-                .dma_write_from_on(DmaChannel::Ch0, addr, &payload);
+                .dma_write_from_on(DmaChannel::Ch0, addr, &self.staging);
             self.staged = Some(Staged {
                 job: ad.job,
                 outcome: ad.outcome,
@@ -401,17 +374,19 @@ impl Worker {
         let window = self.driver.overlap_window([t_in, t_exec, t_out]);
         {
             let mut s = self.shared.lock().unwrap();
-            s.pipeline_beats += 1;
-            s.stage_time[0] += t_in;
-            s.stage_time[1] += t_exec;
-            s.stage_time[2] += t_out;
-            s.window_time += window;
-            s.overlap_saved += serial - window;
+            s.stats.pipeline_beats += 1;
+            s.stats.stage_time[0] += t_in;
+            s.stats.stage_time[1] += t_exec;
+            s.stats.stage_time[2] += t_out;
+            s.stats.window_time += window;
+            s.stats.overlap_saved += serial - window;
             s.device_busy[self.device_index] += window;
-            s.dma_time += t_in + t_out;
-            s.execute_time += t_exec;
+            s.stats.dma_time += t_in + t_out;
+            s.stats.execute_time += t_exec;
+            s.stats.pool_hits += transfers - grew;
+            s.stats.pool_misses += grew;
             if corrupted_now {
-                s.corrupt_executes += 1;
+                s.stats.corrupt_executes += 1;
             }
         }
         self.vclock += window;
@@ -424,8 +399,8 @@ impl Worker {
             if dirty {
                 {
                     let mut s = self.shared.lock().unwrap();
-                    s.detected_corruptions += 1;
-                    s.wasted_time += ex.dma_in + ex.outcome.compute;
+                    s.stats.detected_corruptions += 1;
+                    s.stats.wasted_time += ex.dma_in + ex.outcome.compute;
                 }
                 self.requeue_or_fail(ex.job);
             } else {
@@ -443,7 +418,17 @@ impl Worker {
         while !self.pipeline_empty() {
             self.advance(None);
         }
-        self.shared.lock().unwrap().pipeline_drains += 1;
+        self.shared.lock().unwrap().stats.pipeline_drains += 1;
+    }
+
+    /// Size the staging buffer to `len` bytes of `fill` for one DMA
+    /// transfer. Returns whether it had to grow (an allocation); once it
+    /// holds the largest transfer this worker serves, it never does.
+    fn stage(&mut self, len: usize, fill: u8) -> bool {
+        let grows = len > self.staging.capacity();
+        self.staging.clear();
+        self.staging.resize(len, fill);
+        grows
     }
 
     /// The next slot half in the ping/pong rotation. With `slots ≥ 2`
@@ -488,14 +473,14 @@ impl Worker {
         };
         {
             let mut s = self.shared.lock().unwrap();
-            s.completed += 1;
-            s.per_kind[spec.kind.index()] += 1;
-            s.latency.record(timings.wall);
-            s.virt_latency.record_virtual(timings.total_virtual());
+            s.stats.completed += 1;
+            s.stats.per_kind[spec.kind.index()] += 1;
+            s.stats.latency.record(timings.wall);
+            s.stats.virt_latency.record_virtual(timings.total_virtual());
             // Ground truth the policy failed to catch: a corrupt result
             // reached the client.
             if st.corrupt {
-                s.silent_corruptions += 1;
+                s.stats.silent_corruptions += 1;
             }
         }
         // Service time excludes queue wait: the retry-after estimate
@@ -522,10 +507,10 @@ impl Worker {
         }
         {
             let mut s = self.shared.lock().unwrap();
-            s.full_loads += sw.delta.full_loads;
-            s.partial_switches += sw.delta.partial_switches;
-            s.frames_written += sw.delta.frames_written;
-            s.reconfig_time += sw.delta.reconfig_time;
+            s.stats.full_loads += sw.delta.full_loads;
+            s.stats.partial_switches += sw.delta.partial_switches;
+            s.stats.frames_written += sw.delta.frames_written;
+            s.stats.reconfig_time += sw.delta.reconfig_time;
             s.device_busy[self.device_index] += sw.reconfig;
         }
         self.vclock += sw.reconfig;
@@ -567,9 +552,9 @@ impl Worker {
             if hit.is_ok() {
                 self.guard.pending.push((t, stealthy));
                 let mut s = self.shared.lock().unwrap();
-                s.upsets_injected += 1;
+                s.stats.upsets_injected += 1;
                 if stealthy {
-                    s.upsets_stealthy += 1;
+                    s.stats.upsets_stealthy += 1;
                 }
             }
         }
@@ -593,8 +578,8 @@ impl Worker {
             if let Some(ex) = self.executed.take() {
                 {
                     let mut s = self.shared.lock().unwrap();
-                    s.detected_corruptions += 1;
-                    s.wasted_time += ex.dma_in + ex.outcome.compute;
+                    s.stats.detected_corruptions += 1;
+                    s.stats.wasted_time += ex.dma_in + ex.outcome.compute;
                 }
                 self.requeue_or_fail(ex.job);
             }
@@ -718,17 +703,17 @@ impl Worker {
         self.vclock = now;
         {
             let mut s = self.shared.lock().unwrap();
-            s.check_time += check_cost;
-            s.scrub_time += scrub_cost;
-            s.guard_scrubs += scrubs;
-            s.guard_repairs += repairs;
-            s.device_scrub_frames[self.device_index] += frames;
+            s.stats.check_time += check_cost;
+            s.stats.scrub_time += scrub_cost;
+            s.stats.guard_scrubs += scrubs;
+            s.stats.guard_repairs += repairs;
+            s.stats.device_scrub_frames[self.device_index] += frames;
             s.device_busy[self.device_index] += check_cost + scrub_cost;
-            s.detection_latency += latency;
-            s.detected_upsets += settled;
+            s.stats.detection_latency += latency;
+            s.stats.detected_upsets += settled;
             if wants_quarantine && s.active_workers > 1 {
                 s.active_workers -= 1;
-                s.quarantined_devices += 1;
+                s.stats.quarantined_devices += 1;
                 self.guard.quarantined = true;
                 self.guard.consecutive_dirty = 0;
             }
@@ -745,8 +730,8 @@ impl Worker {
         if job.retries > self.guard.cfg.max_retries {
             {
                 let mut s = self.shared.lock().unwrap();
-                s.failed += 1;
-                s.faulted += 1;
+                s.stats.failed += 1;
+                s.stats.faulted += 1;
             }
             let _ = job.reply.send(Err(RuntimeError::Faulted {
                 retries: job.retries - 1,
@@ -757,9 +742,9 @@ impl Worker {
         self.vclock += backoff;
         {
             let mut s = self.shared.lock().unwrap();
-            s.retries += 1;
+            s.stats.retries += 1;
             s.device_busy[self.device_index] += backoff;
-            s.wasted_time += backoff;
+            s.stats.wasted_time += backoff;
         }
         self.queue.requeue(job);
     }

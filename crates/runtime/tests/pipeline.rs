@@ -94,6 +94,36 @@ fn pipelined_serving_matches_serial_checksums_and_is_faster_on_every_seed() {
 }
 
 #[test]
+fn staging_buffer_stops_growing_once_the_sequence_repeats() {
+    // Closed loop on one device: each job is alone in the pipeline and
+    // stages its payload once (prefetch) and its result once
+    // (writeback), all through the worker's one staging buffer.
+    let system = AtlantisSystem::builder().with_acbs(1).build();
+    let rt = Runtime::serve(system, RuntimeConfig::default()).unwrap();
+    let serve_pass = || {
+        for i in 0..24u64 {
+            let spec = JobSpec::mixed(7_000 + i);
+            rt.submit(JobRequest::new(0, spec)).unwrap().wait().unwrap();
+        }
+        rt.stats()
+    };
+    let first = serve_pass();
+    assert!(first.pool_misses > 0, "an empty buffer must grow");
+    let second = serve_pass();
+    assert_eq!(
+        second.pool_misses, first.pool_misses,
+        "a repeated sequence stages every transfer without growing the buffer"
+    );
+    let stats = rt.shutdown();
+    assert_eq!(stats.completed, 48);
+    assert_eq!(
+        stats.pool_hits + stats.pool_misses,
+        2 * stats.completed,
+        "every job stages its payload once and its result once"
+    );
+}
+
+#[test]
 fn pipelined_serving_matches_serial_checksums_across_devices() {
     // With two workers racing on the shared queue, batch composition —
     // and with it switch counts and timing — is nondeterministic, so

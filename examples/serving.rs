@@ -44,9 +44,7 @@
 //!       or: `cargo run --release --example serving -- --shards 4 --offered-load 150000 --stealing`
 
 use atlantis::apps::jobs::JobSpec;
-use atlantis::cluster::{
-    Cluster, ClusterConfig, LoadGen, LoadGenConfig, StealConfig, StealingPolicy,
-};
+use atlantis::cluster::{Cluster, ClusterConfig, LoadGen, LoadGenConfig, StealingPolicy};
 use atlantis::core::AtlantisSystem;
 use atlantis::runtime::{
     GuardConfig, JobRequest, Priority, Runtime, RuntimeConfig, RuntimeError, ShardConfig,
@@ -106,7 +104,7 @@ fn cluster_demo(args: &[String]) {
             ..ShardConfig::default()
         },
         stealing: if stealing {
-            StealingPolicy::Enabled(StealConfig::default())
+            StealingPolicy::Enabled
         } else {
             StealingPolicy::Off
         },
@@ -327,7 +325,7 @@ fn main() {
             occ[0], occ[1], occ[2]
         );
         println!(
-            "  buffer pool: {} hits, {} misses (zero-copy steady state)",
+            "  DMA staging: {} transfers in place, {} grew a buffer (zero-copy steady state)",
             stats.pool_hits, stats.pool_misses
         );
         println!(
